@@ -48,6 +48,26 @@ interprocedural points-to analysis).  Everything over-approximates toward
 *more* cycles — unknown locations conflict with everything, cycle-search
 budget overruns mark the analysis ``capped`` and keep every fence.
 
+Cost.  Every relation is a Python-int bitset over the graph's nodes.
+``graph_from_module`` closes each thread's "may execute before" edges
+into po rows with one OR per edge of the SCC condensation, in reverse
+topological order.  The cycle search runs once per *source* access ``v``
+rather than once per candidate edge: a forward sweep over
+(access, used-thread mask) states ORs conflict rows and "exit" rows
+(``{w}`` plus the po-later accesses of ``w``'s thread at a location not
+provably ``w``'s), and the conflict rows it reaches that land in ``v``'s
+thread are exactly the ``u`` with ``u -> v`` on a critical cycle.  With
+at most ``MAX_THREADS`` threads a sweep has at most
+``accesses x 2^threads`` states, so a source costs
+``O(accesses x 2^threads)`` row unions; a state already expanded under a
+subset of its mask is skipped, and a sweep stops once every conflicting
+access of ``v``'s thread is reached.  Coverage ORs, per delay-edge source
+``u``, the po rows of the fences after ``u``.  ``CYCLE_BUDGET`` bounds
+the row unions of one analysis — conflict, exit and coverage rows, the
+count the ``delayset.cycle_steps`` work counter reports.  The plain and
+the sync tier share one graph: the sync tier searches the same po and
+exit rows with the lock-sharing conflict pairs dropped.
+
 Every elision is double-checked: the protected access is stamped with a
 ``delayset_cert`` (cycle-freeness certificate) that ``fencecheck``
 honours and :func:`audit_module` re-derives from scratch, and the litmus
@@ -85,7 +105,7 @@ TOP = ("top",)  # unknown location: conflicts with every shared access
 MAX_THREADS = 8
 MAX_NODES = 800
 MAX_CANDIDATES = 20000
-CYCLE_BUDGET = 250000
+CYCLE_BUDGET = 1000000  # bitset row unions per analysis (~1 s)
 
 
 @dataclass(eq=False)
@@ -122,24 +142,39 @@ class ConflictGraph:
     accesses: dict[int, Access] = field(default_factory=dict)
     fences: dict[int, FenceNode] = field(default_factory=dict)
     nthreads: int = 0
-    #: uid -> uids that may execute later in the same thread (accesses+fences)
-    po: dict[int, set[int]] = field(default_factory=dict)
+    #: every access and fence in insertion order; a node's position here is
+    #: its bit in the ``po`` rows
+    nodes: list = field(default_factory=list)
+    #: uid -> position in ``nodes``
+    bit: dict[int, int] = field(default_factory=dict)
+    #: uid -> bitset of the nodes (accesses and fences) that may execute
+    #: later in the same thread
+    po: dict[int, int] = field(default_factory=dict)
     #: access uid -> conflicting access uids (symmetric, cross-thread)
     conflicts: dict[int, set[int]] = field(default_factory=dict)
     capped: bool = False
-    #: sync refinement: drop conflict edges between accesses whose
-    #: must-locksets intersect (they are ordered by the lock's RMW chain)
-    sync: bool = False
+    #: conflict pairs whose must-locksets intersect: the sync refinement
+    #: drops them (they are ordered by the lock's RMW chain)
     sync_dropped: int = 0
+    _rows: Optional["_Rows"] = field(default=None, repr=False)
+
+    def _add_node(self, node) -> None:
+        self.bit[node.uid] = len(self.nodes)
+        self.nodes.append(node)
+        self.po[node.uid] = 0
 
     def add_access(self, node: Access) -> None:
         self.accesses[node.uid] = node
-        self.po.setdefault(node.uid, set())
+        self._add_node(node)
         self.conflicts.setdefault(node.uid, set())
 
     def add_fence(self, node: FenceNode) -> None:
         self.fences[node.uid] = node
-        self.po.setdefault(node.uid, set())
+        self._add_node(node)
+
+    def add_po(self, before: int, after: int) -> None:
+        """Record that node ``after`` may execute later than ``before``."""
+        self.po[before] |= 1 << self.bit[after]
 
     def build_conflicts(self) -> None:
         nodes = list(self.accesses.values())
@@ -151,15 +186,16 @@ class ConflictGraph:
                     continue
                 if not _locs_overlap(a.locs, b.locs):
                     continue
-                if self.sync and (a.locks & b.locks):
-                    # Both sides hold a common lock at the access: mutual
-                    # exclusion plus the lock's sc RMW chain (ord3/ord4)
-                    # orders the pair, so it cannot lie on a critical
-                    # cycle (Chakraborty's sync-ordered conflict rule).
+                if a.locks & b.locks:
                     self.sync_dropped += 1
-                    continue
                 self.conflicts[a.uid].add(b.uid)
                 self.conflicts[b.uid].add(a.uid)
+
+    def rows(self) -> "_Rows":
+        """The bitset rows both analysis tiers search (built once)."""
+        if self._rows is None:
+            self._rows = _Rows(self)
+        return self._rows
 
 
 # -- location keys ----------------------------------------------------------
@@ -185,14 +221,16 @@ def _locs_overlap(ls1: frozenset, ls2: frozenset) -> bool:
     return any(_keys_overlap(k1, k2) for k1 in ls1 for k2 in ls2)
 
 
-def _must_same_loc(a: Access, b: Access) -> bool:
-    """Provably the *same concrete* bytes — the only case per-location
-    coherence is allowed to discharge.  Field-insensitive abstract object
-    keys (e.g. a whole array) never qualify."""
-    if len(a.locs) != 1 or a.locs != b.locs:
-        return False
+def _same_loc_key(a: Access) -> Optional[tuple]:
+    """The key of the *concrete* bytes ``a`` provably touches, or None.
+    Two accesses with the same such key are provably the same location —
+    the only case per-location coherence is allowed to discharge.
+    Field-insensitive abstract object keys (e.g. a whole array) never
+    qualify."""
+    if len(a.locs) != 1:
+        return None
     (key,) = a.locs
-    return key != TOP and key[0] in ("g", "lit")
+    return key if key != TOP and key[0] in ("g", "lit") else None
 
 
 def _concrete_key(pointer, size: int) -> Optional[tuple]:
@@ -269,137 +307,255 @@ class DelayAnalysis:
         return self.capped or bool(self.uncovered)
 
 
-def _edge_enforceable(u: Access, v: Access) -> bool:
-    if u.ordering != "na" or v.ordering != "na":
-        return False  # sc accesses are ordered by ord3/ord4 natively
-    if u.kind == "W" and v.kind == "R":
-        return False  # x86-TSO itself allows W->R reordering
-    if _must_same_loc(u, v):
-        return False  # per-location coherence (sc_per_loc) enforces it
-    return True
+def _bits(x: int):
+    """Positions of the set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
-def _fence_covers(f: FenceNode, u: Access, v: Access) -> bool:
-    if f.kind == "sc":
-        return True
-    if f.kind == "rm":
-        return u.kind == "R"
-    if f.kind == "ww":
-        return u.kind == "W" and v.kind == "W"
-    return False
+class _Rows:
+    """Bitset rows over ``graph.nodes`` positions, built once per graph and
+    shared by the plain and the sync tier.
+
+    * ``conf[i]``: the accesses conflicting with access ``i`` (0 for a
+      fence); ``sync_conf()`` drops the pairs whose locksets intersect;
+    * ``exit[i]``: where a thread segment entered at access ``i`` may be
+      left — ``i`` itself, or a po-later access of the same thread at a
+      location not provably the same (at most two accesses per thread);
+    * ``same_loc[i]``: the accesses provably at the same concrete bytes as
+      ``i`` (per-location coherence orders po edges between them);
+    * per-thread access and fence masks, and the R / W / na masks.
+    """
+
+    def __init__(self, graph: ConflictGraph):
+        nodes = graph.nodes
+        bit = graph.bit
+        nthreads = max([graph.nthreads] + [n.thread + 1 for n in nodes])
+        self.graph = graph
+        self.thread_acc = [0] * nthreads
+        self.thread_fences = [0] * nthreads
+        self.reads = self.writes = self.na = 0
+        self.conf = [0] * len(nodes)
+        self._sync_conf: Optional[list[int]] = None
+        groups: dict[frozenset, int] = {}
+        for i, node in enumerate(nodes):
+            b = 1 << i
+            if node.uid not in graph.accesses:
+                self.thread_fences[node.thread] |= b
+                continue
+            self.thread_acc[node.thread] |= b
+            if node.kind == "R":
+                self.reads |= b
+            elif node.kind == "W":
+                self.writes |= b
+            if node.ordering == "na":
+                self.na |= b
+            if _same_loc_key(node) is not None:
+                groups[node.locs] = groups.get(node.locs, 0) | b
+            row = 0
+            for other in graph.conflicts[node.uid]:
+                row |= 1 << bit[other]
+            self.conf[i] = row
+        self.same_loc = [0] * len(nodes)
+        self.exit = [0] * len(nodes)
+        for i, node in enumerate(nodes):
+            if node.uid not in graph.accesses:
+                continue
+            if _same_loc_key(node) is not None:
+                self.same_loc[i] = groups[node.locs]
+            self.exit[i] = (1 << i) | (graph.po[node.uid]
+                                       & self.thread_acc[node.thread]
+                                       & ~self.same_loc[i])
+
+    def sync_conf(self) -> list[int]:
+        """``conf`` without the conflict pairs whose locksets intersect."""
+        if self._sync_conf is None:
+            graph = self.graph
+            rows = list(self.conf)
+            for i, node in enumerate(graph.nodes):
+                if not rows[i] or not node.locks:
+                    continue
+                for other in graph.conflicts[node.uid]:
+                    if node.locks & graph.accesses[other].locks:
+                        # Both sides hold a common lock at the access:
+                        # mutual exclusion plus the lock's sc RMW chain
+                        # (ord3/ord4) orders the pair, so it cannot lie on
+                        # a critical cycle (Chakraborty's sync-ordered
+                        # conflict rule).
+                        rows[i] &= ~(1 << graph.bit[other])
+            self._sync_conf = rows
+        return self._sync_conf
 
 
 class _CycleSearch:
-    """Critical-cycle existence queries with a global expansion budget."""
+    """Critical-cycle predecessors per source access, under a budget of
+    bitset row unions."""
 
-    def __init__(self, graph: ConflictGraph, budget: int = CYCLE_BUDGET):
-        self.graph = graph
+    def __init__(self, rows: _Rows, conf: list[int], budget: int):
+        self.rows = rows
+        self.conf = conf
         self.budget = budget
+        #: row unions spent: conflict rows, exit rows and coverage rows
+        self.steps = 0
         self.exhausted = False
+        #: accesses with a conflict: the only ones a cycle can pass through
+        self.live = 0
+        for i, row in enumerate(conf):
+            if row:
+                self.live |= 1 << i
+        self._preds: dict[int, int] = {}
 
-    def cycle_exists(self, u: Access, v: Access) -> bool:
-        """Is there a critical cycle containing the po edge u -> v?
+    def spend(self, unions: int) -> None:
+        self.steps += unions
+        if self.steps > self.budget:
+            self.exhausted = True
 
-        Searches v --cf--> (one or two accesses per intermediate thread,
-        the pair po-ordered and to different locations) --cf--> u, each
-        intermediate thread used at most once.  Budget exhaustion answers
-        True (more cycles = more fences = sound)."""
-        graph = self.graph
-        po = graph.po
-        conflicts = graph.conflicts
-        accesses = graph.accesses
-        target = u.uid
-        seen: set[tuple[int, frozenset]] = set()
-        stack: list[tuple[int, frozenset]] = [(v.uid, frozenset({u.thread}))]
-        while stack:
-            if self.budget <= 0:
-                self.exhausted = True
-                return True
-            self.budget -= 1
-            node, used = stack.pop()
-            for w_uid in conflicts[node]:
-                if w_uid == target:
-                    return True
-                w = accesses[w_uid]
-                if w.thread in used:
-                    continue
-                used2 = used | {w.thread}
-                state = (w_uid, used2)
-                if state not in seen:
-                    seen.add(state)
-                    stack.append(state)
-                # Two-access segment: w --po--> y, different locations.
-                for y_uid in po[w_uid]:
-                    y = accesses.get(y_uid)
-                    if y is None or y.thread != w.thread:
+    def cycle_preds(self, i: int) -> int:
+        """The accesses ``u`` of access ``i``'s thread for which the po
+        edge ``u -> i`` may lie on a critical cycle, as a bitset.
+
+        One forward sweep over (access, used-thread mask) states from
+        ``i`` under its own thread's mask: a state's conflict row leads
+        into a thread not yet used, whose exit rows give the next states
+        (one or two accesses per intermediate thread, each thread used at
+        most once).  Masks grow by one thread per step, so the sweep goes
+        level by level in increasing popcount.  Every conflict row reached
+        that lands back in ``i``'s thread closes a cycle.
+
+        Two exact shortcuts: a state whose access was already expanded
+        under a subset of its mask reaches nothing new (fewer used threads
+        only allow more), and the sweep stops once every conflicting
+        access of the thread is reached.  Budget exhaustion answers "every
+        access" (more cycles = more fences = sound)."""
+        if i in self._preds:
+            return self._preds[i]
+        conf, exit_ = self.conf, self.rows.exit
+        thread_acc = self.rows.thread_acc
+        home = self.rows.graph.nodes[i].thread
+        goal = thread_acc[home] & self.live
+        start = 1 << home
+        level = {start: 1 << i}
+        #: mask -> accesses expanded under it or a subset of it
+        expanded = {start: 1 << i}
+        reached = 0
+        while level and not self.exhausted and reached & goal != goal:
+            nxt: dict[int, int] = {}
+            for used, frontier in level.items():
+                hit = 0
+                for w in _bits(frontier):
+                    hit |= conf[w]
+                unions = frontier.bit_count()
+                reached |= hit
+                for t, accesses in enumerate(thread_acc):
+                    entered = hit & accesses
+                    if not entered or used >> t & 1:
                         continue
-                    if _must_same_loc(w, y):
-                        continue
-                    state = (y_uid, used2)
-                    if state not in seen:
-                        seen.add(state)
-                        stack.append(state)
-        return False
+                    out = 0
+                    for w in _bits(entered):
+                        out |= exit_[w]
+                    unions += entered.bit_count()
+                    mask = used | 1 << t
+                    nxt[mask] = nxt.get(mask, 0) | out
+                self.spend(unions)
+            level = {}
+            for mask, states in nxt.items():
+                below = 0
+                for t in _bits(mask ^ start):
+                    below |= expanded.get(mask ^ 1 << t, 0)
+                expanded[mask] = below | states
+                if states & ~below:
+                    level[mask] = states & ~below
+        preds = thread_acc[home] if self.exhausted else reached & goal
+        self._preds[i] = preds
+        return preds
 
 
-def analyze_graph(graph: ConflictGraph) -> DelayAnalysis:
-    """Find delay edges and classify every fence as required/redundant."""
+def analyze_graph(graph: ConflictGraph, sync: bool = False) -> DelayAnalysis:
+    """Find delay edges and classify every fence as required/redundant.
+
+    With ``sync=True`` the search runs over the sync conflict rows: pairs
+    whose must-locksets intersect are dropped (the ``sync`` tier)."""
     result = DelayAnalysis(graph)
     if graph.capped:
         result.capped = True
         return result
-    search = _CycleSearch(graph)
+    rows = graph.rows()
+    search = _CycleSearch(rows, rows.sync_conf() if sync else rows.conf,
+                          CYCLE_BUDGET)
     try:
-        return _analyze_graph(graph, result, search)
+        return _analyze_graph(graph, rows, result, search)
     finally:
         # Deterministic cost attribution (repro.profiler): candidate po
-        # edges examined and cycle-search expansions spent.  The DFS
-        # iterates sets of int uids, whose order is stable across runs.
+        # edges examined and bitset row unions spent.
         work("delayset.candidates", result.candidates)
-        work("delayset.cycle_steps", CYCLE_BUDGET - search.budget)
+        work("delayset.cycle_steps", search.steps)
 
 
-def _analyze_graph(graph: ConflictGraph, result: DelayAnalysis,
+def _analyze_graph(graph: ConflictGraph, rows: _Rows, result: DelayAnalysis,
                    search: _CycleSearch) -> DelayAnalysis:
-    accesses = graph.accesses
+    nodes, po = graph.nodes, graph.po
+    live_na = rows.na & search.live
     # Candidate po pairs: enforceable na->na edges between shared accesses
-    # where both endpoints can touch a conflict (else no cycle through them).
-    for u in accesses.values():
-        if not graph.conflicts[u.uid]:
+    # where both endpoints can touch a conflict (else no cycle through
+    # them).  sc accesses are ordered by ord3/ord4 natively; x86-TSO itself
+    # allows W->R reordering; per-location coherence (sc_per_loc) enforces
+    # edges between provably identical locations.
+    by_u: list[tuple[int, int]] = []  # (u position, its delay-edge targets)
+    for i in _bits(live_na):
+        u = nodes[i]
+        targets = po[u.uid] & live_na & ~(1 << i) & ~rows.same_loc[i]
+        if u.kind == "W":
+            targets &= ~rows.reads
+        if not targets:
             continue
-        for v_uid in graph.po[u.uid]:
-            v = accesses.get(v_uid)
-            if v is None or v.uid == u.uid:
-                continue
-            if not graph.conflicts[v.uid]:
-                continue
-            if not _edge_enforceable(u, v):
-                continue
-            result.candidates += 1
-            if result.candidates > MAX_CANDIDATES:
-                result.capped = True
-                return result
-            if search.cycle_exists(u, v):
-                result.delay_edges.add((u.uid, v.uid))
-                result.cycles += 1
+        result.candidates += targets.bit_count()
+        if result.candidates > MAX_CANDIDATES:
+            result.capped = True
+            return result
+        delay = 0
+        for j in _bits(targets):
+            if search.cycle_preds(j) >> i & 1:
+                delay |= 1 << j
         if search.exhausted:
             result.capped = True
             return result
-    # Coverage: a fence is required iff it covers some delay edge.
-    for u_uid, v_uid in result.delay_edges:
-        u, v = accesses[u_uid], accesses[v_uid]
-        covered = False
-        for f_uid, f in graph.fences.items():
-            if f.thread != u.thread:
+        if delay:
+            by_u.append((i, delay))
+            for j in _bits(delay):
+                result.delay_edges.add((u.uid, nodes[j].uid))
+            result.cycles += delay.bit_count()
+    # Coverage: a fence is required iff it covers some delay edge; the
+    # fences po-between u and v in u's thread are po[u] & po^-1[v].
+    for i, delay in by_u:
+        u = nodes[i]
+        covered = 0
+        fences = po[u.uid] & rows.thread_fences[u.thread]
+        search.spend(fences.bit_count())
+        for f in _bits(fences):
+            fence = nodes[f]
+            if fence.kind == "sc":
+                hit = delay
+            elif fence.kind == "rm":
+                hit = delay if u.kind == "R" else 0
+            elif fence.kind == "ww":
+                hit = delay & rows.writes if u.kind == "W" else 0
+            else:
+                hit = 0
+            hit &= po[fence.uid]
+            if not hit:
                 continue
-            if (f_uid in graph.po[u_uid] and v_uid in graph.po[f_uid]
-                    and _fence_covers(f, u, v)):
-                covered = True
-                if f_uid not in result.required:
-                    result.required.add(f_uid)
-                    result.witness[f_uid] = (u_uid, v_uid)
-        if not covered:
-            result.uncovered.add((u_uid, v_uid))
+            covered |= hit
+            if fence.uid not in result.required:
+                result.required.add(fence.uid)
+                result.witness[fence.uid] = (
+                    u.uid, nodes[(hit & -hit).bit_length() - 1].uid)
+        for j in _bits(delay & ~covered):
+            result.uncovered.add((u.uid, nodes[j].uid))
+    if search.exhausted:
+        result.capped = True
+        return result
     result.redundant = set(graph.fences) - result.required
     return result
 
@@ -432,13 +588,12 @@ def litmus_locksets(program: ev.Program) -> list[list[frozenset]]:
     return out
 
 
-def graph_from_litmus(program: ev.Program,
-                      sync: bool = False) -> ConflictGraph:
+def graph_from_litmus(program: ev.Program) -> ConflictGraph:
     """Conflict graph of a LIMM-level litmus program (e.g. the image of
-    ``map_x86_to_ir``).  x86 ``mfence`` is treated as ``sc``.  With
-    ``sync=True``, conflict edges between accesses holding a common lock
-    (see :func:`litmus_locksets`) are dropped."""
-    graph = ConflictGraph(nthreads=len(program.threads), sync=sync)
+    ``map_x86_to_ir``).  x86 ``mfence`` is treated as ``sc``.  Every
+    access carries its lockset (see :func:`litmus_locksets`) for the sync
+    tier."""
+    graph = ConflictGraph(nthreads=len(program.threads))
     locksets = litmus_locksets(program)
     uid = 0
     for t, ops in enumerate(program.threads):
@@ -473,7 +628,7 @@ def graph_from_litmus(program: ev.Program,
             uid += 1
         for i, a in enumerate(thread_nodes):
             for b in thread_nodes[i + 1:]:
-                graph.po[a].add(b)
+                graph.add_po(a, b)
     graph.build_conflicts()
     return graph
 
@@ -516,20 +671,19 @@ def elide_litmus_fences(program: ev.Program,
     program.  ``sc`` fences are always kept (they encode source MFENCEs).
 
     With ``sync=True`` a second, sync-refined analysis runs on top of the
-    base one: fences required by the base delay sets but redundant once
-    lock-ordered conflict edges are dropped are elided under the ``sync``
-    tier.  A capped/uncovered sync analysis contributes nothing (fences
-    fall back to the base verdict)."""
+    base one, over the same graph: fences required by the base delay sets
+    but redundant once lock-ordered conflict edges are dropped are elided
+    under the ``sync`` tier.  A capped/uncovered sync analysis contributes
+    nothing (fences fall back to the base verdict)."""
     graph = graph_from_litmus(program)
     analysis = analyze_graph(graph)
     sync_analysis: Optional[DelayAnalysis] = None
     sync_redundant: set = set()  # (t, idx) inst keys
     if sync:
-        sync_graph = graph_from_litmus(program, sync=True)
-        sync_analysis = analyze_graph(sync_graph)
+        sync_analysis = analyze_graph(graph, sync=True)
         if not sync_analysis.keep_all:
             sync_redundant = {
-                f.inst for f_uid, f in sync_graph.fences.items()
+                f.inst for f_uid, f in graph.fences.items()
                 if f.kind != "sc" and f_uid in sync_analysis.redundant
             }
     verdicts: dict[tuple[int, int], tuple[str, str, str]] = {}
@@ -600,19 +754,72 @@ def check_litmus_elision(
 def _block_reach(func: Function) -> dict:
     """block -> set of blocks reachable via >= 1 CFG edge (so a block in a
     cycle reaches itself)."""
-    succs = {bb: list(bb.successors()) for bb in func.blocks}
-    reach: dict = {}
-    for bb in func.blocks:
-        seen: set = set()
-        work = list(succs[bb])
-        while work:
-            nxt = work.pop()
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            work.extend(succs.get(nxt, ()))
-        reach[bb] = seen
-    return reach
+    blocks = list(func.blocks)
+    index = {bb: k for k, bb in enumerate(blocks)}
+    rows = _reach_rows([[index[s] for s in bb.successors()] for bb in blocks])
+    return {bb: {blocks[k] for k in _bits(row)}
+            for bb, row in zip(blocks, rows)}
+
+
+def _reach_rows(succ: list[list[int]]) -> list[int]:
+    """Transitive closure by SCC condensation: row ``i`` is the bitset of
+    the nodes reachable from ``i`` by one or more edges (so a node on a
+    cycle reaches itself).  Tarjan's algorithm completes every SCC after
+    the SCCs it reaches, so one OR per condensation edge, in completion
+    (reverse topological) order, fills every row."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    rows = [0] * n
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            v, children = frames[-1]
+            for w in children:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    frames.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0:  # still on the stack: same SCC or above
+                    low[v] = min(low[v], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] != index[v]:
+                    continue
+                members = []
+                while True:
+                    w = stack.pop()
+                    comp[w] = v
+                    members.append(w)
+                    if w == v:
+                        break
+                row = 0
+                cyclic = len(members) > 1
+                for m in members:
+                    for w in succ[m]:
+                        if comp[w] == v:
+                            cyclic = True
+                        else:
+                            row |= (1 << w) | rows[w]
+                if cyclic:
+                    for m in members:
+                        row |= 1 << m
+                for m in members:
+                    rows[m] = row
+    return rows
 
 
 @dataclass
@@ -631,8 +838,13 @@ class FenceDecision:
 class ModuleDelayResult:
     graph: ConflictGraph
     analysis: DelayAnalysis
+    #: the sync tier over the same graph; None unless asked for and the
+    #: base analysis was usable
+    sync_analysis: Optional[DelayAnalysis] = None
     #: id(fence inst) -> True when some thread copy needs it
     required_insts: set[int] = field(default_factory=set)
+    #: the same under the sync tier
+    sync_required_insts: set[int] = field(default_factory=set)
     seen_insts: set[int] = field(default_factory=set)
     #: id(fence inst) -> (u.label, v.label) witness
     witnesses: dict[int, tuple[str, str]] = field(default_factory=dict)
@@ -645,7 +857,7 @@ class ModuleDelayResult:
 
 def graph_from_module(module: Module,
                       ma: Optional[ModuleAnalysis] = None,
-                      sync: bool = False) -> tuple[
+                      locksets: bool = False) -> tuple[
                           ConflictGraph, list[str]]:
     """Build the whole-module conflict graph.
 
@@ -658,17 +870,17 @@ def graph_from_module(module: Module,
     External calls are assumed memory-model-neutral (see module docstring
     Limitations) and contribute no access node.
 
-    With ``sync=True`` every access node carries the must-lockset the
-    :mod:`repro.analysis.sync` dataflow computed for its instruction, and
-    conflict edges between accesses holding a common lock are dropped.
+    With ``locksets=True`` every access node carries the must-lockset the
+    :mod:`repro.analysis.sync` dataflow computed for its instruction, which
+    the sync tier (``analyze_graph(graph, sync=True)``) needs.
     """
     ma = ma or analyze_module(module)
     cg = ma.callgraph
     locks_at: dict[int, frozenset] = {}
-    if sync:
+    if locksets:
         from .sync import compute_locksets
         locks_at = compute_locksets(module, ma).at_instruction
-    graph = ConflictGraph(sync=sync)
+    graph = ConflictGraph()
     thread_names: list[str] = []
     roots: list[tuple[Function, int]] = []
     for root in cg.thread_roots():
@@ -690,6 +902,7 @@ def graph_from_module(module: Module,
     reach_cache: dict[str, dict] = {}
 
     for thread, (root, _copy) in enumerate(roots):
+        base = len(graph.nodes)
         funcs = cg.reachable_from(root)
         # virtual enter/exit per function for cross-call ordering
         enter = {f.name: fresh_uid() for f in funcs}
@@ -784,18 +997,21 @@ def graph_from_module(module: Module,
                         add_edge(exit_[callee_name], uid_a)
 
         # po = reachability over the per-thread edge graph, restricted to
-        # this thread's real (access/fence) nodes.
-        thread_real = set(real_nodes)
-        for start in real_nodes:
-            seen: set[int] = set()
-            work = list(edges.get(start, ()))
-            while work:
-                nxt = work.pop()
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                work.extend(edges.get(nxt, ()))
-            graph.po[start] = seen & thread_real
+        # this thread's real (access/fence) nodes.  They come first in the
+        # local numbering and hold positions [base, base + len) of
+        # graph.nodes, so a row converts by a mask and a shift.
+        local = {uid: k for k, uid in enumerate(real_nodes)}
+        for uid, targets in edges.items():
+            local.setdefault(uid, len(local))
+            for target in targets:
+                local.setdefault(target, len(local))
+        succ: list[list[int]] = [[] for _ in local]
+        for uid, targets in edges.items():
+            succ[local[uid]] = [local[target] for target in targets]
+        rows = _reach_rows(succ)
+        real_mask = (1 << len(real_nodes)) - 1
+        for k, uid in enumerate(real_nodes):
+            graph.po[uid] = (rows[k] & real_mask) << base
     graph.build_conflicts()
     return graph, thread_names
 
@@ -803,11 +1019,20 @@ def graph_from_module(module: Module,
 def analyze_module_fences(module: Module,
                           ma: Optional[ModuleAnalysis] = None,
                           sync: bool = False) -> ModuleDelayResult:
-    graph, thread_names = graph_from_module(module, ma, sync=sync)
+    """Build the module's conflict graph once and run the delay-set
+    analysis over it; with ``sync=True`` the graph carries locksets and,
+    unless the base analysis keeps every fence, the sync tier runs too,
+    over the same po and exit rows."""
+    graph, thread_names = graph_from_module(module, ma, locksets=sync)
     analysis = analyze_graph(graph)
     result = ModuleDelayResult(graph, analysis, threads=thread_names)
+    if sync and not analysis.keep_all:
+        result.sync_analysis = analyze_graph(graph, sync=True)
     for f_uid, f in graph.fences.items():
         result.seen_insts.add(id(f.inst))
+        if result.sync_analysis is not None and \
+                f_uid in result.sync_analysis.required:
+            result.sync_required_insts.add(id(f.inst))
         if f_uid in analysis.required:
             result.required_insts.add(id(f.inst))
             u_uid, v_uid = analysis.witness[f_uid]
@@ -836,13 +1061,10 @@ class DelaySetStats:
     decisions: list[FenceDecision] = field(default_factory=list)
 
 
-def _protected_access(fence_inst: Fence):
-    """The access a placed fence is adjacent to: the load right before an
-    ``Frm``, the store right after an ``Fww``.  None if the shape is not
-    the placement shape (then the fence is kept)."""
-    bb = fence_inst.parent
-    insts = list(bb.instructions)
-    pos = insts.index(fence_inst)
+def _protected_access(fence_inst: Fence, insts: list, pos: int):
+    """The access a placed fence (at ``insts[pos]``) is adjacent to: the
+    load right before an ``Frm``, the store right after an ``Fww``.  None
+    if the shape is not the placement shape (then the fence is kept)."""
     if fence_inst.kind == "rm":
         if pos > 0 and isinstance(insts[pos - 1], Load):
             return insts[pos - 1]
@@ -864,30 +1086,30 @@ def elide_redundant_fences(module: Module,
     ``delayset_cert`` so ``fencecheck`` (and the oracle's audit rung) can
     distinguish a certified elision from a lost fence.
 
-    With ``sync=True`` a second, lockset-refined analysis runs on top:
-    fences the base delay sets require but whose every ordered conflict is
-    lock-protected are elided under the ``sync`` tier
+    With ``sync=True`` a second, lockset-refined analysis runs on top, over
+    the same graph: fences the base delay sets require but whose every
+    ordered conflict is lock-protected are elided under the ``sync`` tier
     (``fences.skipped_sync``).  A capped or uncovered sync analysis
-    contributes nothing — fences keep their base verdict.
+    contributes nothing — fences keep their base verdict.  A precomputed
+    ``result`` needs ``analyze_module_fences(..., sync=True)`` for the
+    sync tier to contribute.
     """
     if result is None:
-        result = analyze_module_fences(module, ma)
-    result_sync: Optional[ModuleDelayResult] = None
-    if sync and not result.keep_all:
-        candidate = analyze_module_fences(module, ma, sync=True)
-        if not candidate.keep_all:
-            result_sync = candidate
+        result = analyze_module_fences(module, ma, sync=sync)
+    use_sync = (sync and result.sync_analysis is not None
+                and not result.sync_analysis.keep_all)
     stats = DelaySetStats(capped=result.analysis.capped,
                           kept_all=result.keep_all,
                           delay_edges=len(result.analysis.delay_edges),
-                          sync=result_sync is not None)
-    if result_sync is not None:
-        stats.sync_dropped_conflicts = result_sync.graph.sync_dropped
+                          sync=use_sync)
+    if use_sync:
+        stats.sync_dropped_conflicts = result.graph.sync_dropped
     emit = telemetry.remarks_enabled()
     for func in module.functions.values():
         if func.is_declaration:
             continue
         for bb in func.blocks:
+            erased = 0  # fences of this block already erased
             for idx, inst in enumerate(list(bb.instructions)):
                 if not isinstance(inst, Fence):
                     continue
@@ -914,9 +1136,8 @@ def elide_redundant_fences(module: Module,
                     tier = "delayset"
                     reason = ("covers no critical-cycle delay edge "
                               "(Shasha-Snir delay-set analysis)")
-                elif (result_sync is not None
-                        and id(inst) in result_sync.seen_insts
-                        and id(inst) not in result_sync.required_insts):
+                elif (use_sync
+                        and id(inst) not in result.sync_required_insts):
                     tier = "sync"
                     reason = ("every conflict it orders is lock-protected "
                               "(sync-refined delay sets)")
@@ -928,7 +1149,8 @@ def elide_redundant_fences(module: Module,
                                     f"{v_label} (critical cycle)")
                     stats.decisions.append(where)
                     continue
-                access = _protected_access(inst)
+                access = _protected_access(inst, bb.instructions,
+                                           idx - erased)
                 if access is None:
                     stats.kept_conservative += 1
                     where.reason = "not adjacent to its access; kept"
@@ -953,6 +1175,7 @@ def elide_redundant_fences(module: Module,
                         instruction=f"fence.{inst.kind}",
                         x86=x86_location(inst) or "")
                 inst.erase_from_parent()
+                erased += 1
                 stats.elided += 1
                 if tier == "sync":
                     stats.elided_sync += 1
@@ -978,11 +1201,12 @@ def audit_module(module: Module,
     snapshot, where fences are still adjacent to their accesses.
 
     Pass ``sync=True`` when the module was elided under the sync tier —
-    the audit then re-derives the lockset-refined graph, whose delay
+    the audit then searches the lockset-refined conflict rows, whose delay
     edges are a subset of the base analysis's."""
-    result = analyze_module_fences(module, ma, sync=sync)
+    graph, _threads = graph_from_module(module, ma, locksets=sync)
+    analysis = analyze_graph(graph, sync=sync)
     violations: list[str] = []
-    if result.analysis.capped:
+    if analysis.capped:
         certified = any(
             getattr(inst, "delayset_cert", None)
             for func in module.functions.values()
@@ -993,9 +1217,9 @@ def audit_module(module: Module,
                 "delay-set audit: analysis budget exhausted but the module "
                 "carries delayset_cert stamps")
         return violations
-    for u_uid, v_uid in result.analysis.uncovered:
-        u = result.graph.accesses[u_uid]
-        v = result.graph.accesses[v_uid]
+    for u_uid, v_uid in sorted(analysis.uncovered):
+        u = graph.accesses[u_uid]
+        v = graph.accesses[v_uid]
         violations.append(
             f"uncovered delay edge {u.label} -> {v.label}: no surviving "
             "fence orders a critical-cycle pair")

@@ -145,7 +145,7 @@ def classify_module(module: Module,
     # Base (unrefined) graph: the sync refinement would drop exactly the
     # conflict edges this classifier needs to *see* to call an access
     # lock-protected rather than thread-local.
-    graph, thread_names = graph_from_module(module, ma, sync=False)
+    graph, thread_names = graph_from_module(module, ma)
 
     report = RaceReport(threads=thread_names, capped=graph.capped,
                         locks_seen=_lock_names(

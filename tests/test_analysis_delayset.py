@@ -1,9 +1,22 @@
 """Tests for the Shasha–Snir delay-set tier (repro.analysis.delayset):
 litmus classification, the exhaustive-enumeration soundness gate, module
-elision with cycle-freeness certificates, and the audit path."""
+elision with cycle-freeness certificates, the audit path, the bitset
+cycle search against a brute-force enumeration of critical cycles, and
+the cycle budget."""
 
-from repro.analysis import check_module
+import itertools
+import random
+from pathlib import Path
+
+import pytest
+
+from repro.analysis import check_module, delayset
 from repro.analysis.delayset import (
+    TOP,
+    Access,
+    ConflictGraph,
+    FenceNode,
+    analyze_graph,
     analyze_module_fences,
     audit_module,
     check_litmus_elision,
@@ -25,6 +38,7 @@ from repro.lir.clone import clone_module
 from repro.memmodel.axioms import outcomes
 from repro.memmodel.litmus import MP, SB, X86_SOURCE_CORPUS
 from repro.memmodel.mappings import map_x86_to_ir
+from repro.profiler import workcounters
 
 
 class TestLitmusClassification:
@@ -209,3 +223,219 @@ class TestModuleElision:
         b.ret(v)
         result = analyze_module_fences(m)
         assert not result.graph.accesses
+
+
+# -- the bitset search against a brute-force reference ------------------------
+
+_LOCS = [frozenset({TOP}), frozenset({("lit", "x")}), frozenset({("lit", "y")}),
+         frozenset({("g", "g", 0, 8)}), frozenset({("g", "g", 4, 8)}),
+         frozenset({("g", "h", 0, 8)}),
+         frozenset({("lit", "x"), ("lit", "y")})]
+_LOCKS = [frozenset(), frozenset(), frozenset({("lit", "m")}),
+          frozenset({("lit", "m"), ("lit", "n")}), frozenset({("lit", "n")})]
+
+
+def _random_graph(rng: random.Random) -> ConflictGraph:
+    """<= 4 threads of <= 6 accesses (plus fences), mixed TOP / global /
+    litmus locations, R/W/RW, na/sc, some under locks; a thread's po is
+    straight-line or, sometimes, a loop (every pair both ways)."""
+    nthreads = rng.randint(2, 4)
+    graph = ConflictGraph(nthreads=nthreads)
+    uid = 0
+    for t in range(nthreads):
+        thread_nodes = []
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.25:
+                graph.add_fence(FenceNode(uid, t, rng.choice(["rm", "ww", "sc"]),
+                                          f"T{t}:F{uid}"))
+            else:
+                kind = rng.choice(["R", "R", "W", "W", "RW"])
+                ordering = "sc" if kind == "RW" or rng.random() < 0.15 else "na"
+                graph.add_access(Access(uid, t, kind, ordering,
+                                        rng.choice(_LOCS), f"T{t}:A{uid}",
+                                        locks=rng.choice(_LOCKS)))
+            thread_nodes.append(uid)
+            uid += 1
+        loop = rng.random() < 0.2
+        for i, a in enumerate(thread_nodes):
+            for j, b in enumerate(thread_nodes):
+                if i < j or (loop and i != j):
+                    graph.add_po(a, b)
+    graph.build_conflicts()
+    return graph
+
+
+def _po_uids(graph: ConflictGraph, uid: int) -> set:
+    return {node.uid for i, node in enumerate(graph.nodes)
+            if graph.po[uid] >> i & 1}
+
+
+def _same_loc(a: Access, b: Access) -> bool:
+    if len(a.locs) != 1 or a.locs != b.locs:
+        return False
+    (key,) = a.locs
+    return key != TOP and key[0] in ("g", "lit")
+
+
+def _reference_delay_edges(graph: ConflictGraph, sync: bool) -> set:
+    """Enumerate critical cycles directly: u -po-> v, then a path through
+    distinct other threads, one or two accesses each (two only if
+    po-ordered and at different locations), joined by conflict edges, and
+    back to u."""
+    acc = graph.accesses
+
+    def conflict(a: Access, b: Access) -> bool:
+        if b.uid not in graph.conflicts[a.uid]:
+            return False
+        return not (sync and a.locks & b.locks)
+
+    def po(a: Access, b: Access) -> bool:
+        return b.uid in _po_uids(graph, a.uid)
+
+    segments: dict[int, list[tuple[Access, Access]]] = {}
+    for w in acc.values():
+        segments.setdefault(w.thread, []).append((w, w))
+        for y in acc.values():
+            if (y is not w and y.thread == w.thread and po(w, y)
+                    and not _same_loc(w, y)):
+                segments[w.thread].append((w, y))
+
+    def closes(last: Access, u: Access, used: frozenset) -> bool:
+        if conflict(last, u):
+            return True
+        for t in range(graph.nthreads):
+            if t in used:
+                continue
+            for w, y in segments.get(t, ()):
+                if conflict(last, w) and closes(y, u, used | {t}):
+                    return True
+        return False
+
+    edges = set()
+    for u, v in itertools.permutations(acc.values(), 2):
+        if u.thread != v.thread or not po(u, v):
+            continue
+        if u.ordering != "na" or v.ordering != "na":
+            continue
+        if (u.kind, v.kind) == ("W", "R") or _same_loc(u, v):
+            continue
+        if closes(v, u, frozenset({u.thread})):
+            edges.add((u.uid, v.uid))
+    return edges
+
+
+def _reference_coverage(graph: ConflictGraph, edges: set) -> tuple[set, set]:
+    """(required fences, uncovered delay edges) by scanning every fence."""
+    required, uncovered = set(), set()
+    for u_uid, v_uid in edges:
+        u, v = graph.accesses[u_uid], graph.accesses[v_uid]
+        covering = {
+            f.uid for f in graph.fences.values()
+            if f.thread == u.thread and f.uid in _po_uids(graph, u_uid)
+            and v_uid in _po_uids(graph, f.uid)
+            and (f.kind == "sc" or (f.kind == "rm" and u.kind == "R")
+                 or (f.kind == "ww" and u.kind == v.kind == "W"))}
+        required |= covering
+        if not covering:
+            uncovered.add((u_uid, v_uid))
+    return required, uncovered
+
+
+class TestBitsetSearchMatchesEnumeration:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_graph(self, seed):
+        graph = _random_graph(random.Random(seed))
+        for sync in (False, True):
+            analysis = analyze_graph(graph, sync=sync)
+            assert not analysis.capped
+            want = _reference_delay_edges(graph, sync)
+            assert analysis.delay_edges == want, f"sync={sync}"
+            required, uncovered = _reference_coverage(graph, want)
+            assert analysis.required == required
+            assert analysis.uncovered == uncovered
+            assert analysis.redundant == set(graph.fences) - analysis.required
+            for f_uid, (u_uid, v_uid) in analysis.witness.items():
+                assert (u_uid, v_uid) in want
+                assert f_uid in _po_uids(graph, u_uid)
+                assert v_uid in _po_uids(graph, f_uid)
+
+    def test_sync_edges_are_a_subset(self):
+        for seed in range(60):
+            graph = _random_graph(random.Random(seed))
+            plain = analyze_graph(graph).delay_edges
+            assert analyze_graph(graph, sync=True).delay_edges <= plain
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_reach_rows_is_the_transitive_closure(seed):
+    """The SCC-condensed closure against a DFS from every node, on random
+    digraphs with cycles and self-loops."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 25)
+    succ = [rng.sample(range(n), rng.randint(0, min(n, 3)))
+            for _ in range(n)]
+    rows = delayset._reach_rows(succ)
+    for start in range(n):
+        seen, stack = set(), list(succ[start])
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(succ[node])
+        assert rows[start] == sum(1 << node for node in seen)
+
+
+def _placed_module(source: str):
+    """The module as the delay-set tier sees it in lifted/opt/popt:
+    lifted and fenced by Fig. 8a with escape analysis."""
+    from repro.fences import place_fences
+    from repro.lifter import lift_program
+    from repro.minicc.codegen_x86 import compile_to_x86
+
+    module = lift_program(compile_to_x86(source))
+    place_fences(module, use_analysis=True)
+    return module
+
+
+def _phoenix_source(name: str) -> str:
+    from repro.phoenix import SIZE_TINY, all_programs
+
+    return next(p.source for p in all_programs(SIZE_TINY, include_extensions=True)
+                if p.name == name)
+
+
+class TestPhoenixDelayEdges:
+    @pytest.mark.parametrize("name,count", [
+        ("histogram", 1333), ("matrix_multiply", 1071),
+        ("string_match", 2350), ("word_count", 3475),
+        ("linear_regression", 5011)])
+    def test_delay_edge_count(self, name, count):
+        result = analyze_module_fences(_placed_module(_phoenix_source(name)))
+        assert not result.keep_all
+        assert len(result.analysis.delay_edges) == count
+
+    def test_cycle_steps_track_the_work(self):
+        steps = {}
+        for name in ("histogram", "kmeans"):
+            module = _placed_module(_phoenix_source(name))
+            with workcounters.collect() as counters:
+                analyze_module_fences(module)
+            steps[name] = counters.total("delayset.cycle_steps")
+        assert steps["kmeans"] > steps["histogram"] > 0
+
+
+class TestBudget:
+    def test_exhausted_budget_keeps_every_fence(self, monkeypatch):
+        monkeypatch.setattr(delayset, "CYCLE_BUDGET", 50)
+        source = (Path(__file__).resolve().parents[1] / "examples"
+                  / "demo.c").read_text()
+        module = _placed_module(source)
+        before = len(_fences(module))
+        stats = elide_redundant_fences(module, sync=True)
+        assert stats.capped and stats.kept_all
+        assert stats.elided == stats.elided_sync == 0
+        assert len(_fences(module)) == before
+        assert not any(getattr(inst, "delayset_cert", None)
+                       for func in module.functions.values()
+                       for inst in func.instructions())
+        assert audit_module(module) == []
