@@ -210,7 +210,3 @@ def tarjan_sccs(graph: CallGraph) -> list[list[str]]:
         if name not in index:
             strongconnect(name)
     return sccs
-
-
-def is_self_recursive(graph: CallGraph, name: str) -> bool:
-    return name in graph.callees.get(name, ())

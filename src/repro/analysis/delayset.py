@@ -995,6 +995,13 @@ def graph_from_module(module: Module,
                         add_edge(uid_a, enter[callee_name])
                     if before(bb_c, idx_c, bb_a, idx_a):
                         add_edge(exit_[callee_name], uid_a)
+                # A call's exit reaches every call that may follow it
+                # (itself too, around a loop): two calls with no access
+                # or fence of this function between them are still
+                # ordered.
+                for later_name, bb_l, idx_l in calls:
+                    if before(bb_c, idx_c, bb_l, idx_l):
+                        add_edge(exit_[callee_name], enter[later_name])
 
         # po = reachability over the per-thread edge graph, restricted to
         # this thread's real (access/fence) nodes.  They come first in the
@@ -1179,9 +1186,6 @@ def elide_redundant_fences(module: Module,
                 stats.elided += 1
                 if tier == "sync":
                     stats.elided_sync += 1
-    telemetry.count("fences.skipped_delayset",
-                    stats.elided - stats.elided_sync)
-    telemetry.count("fences.skipped_sync", stats.elided_sync)
     if stats.kept_all and emit:
         telemetry.remark(
             "delay-set", "analysis-capped",

@@ -219,7 +219,6 @@ def check_function(func: Function,
                 have = _fences_after(block, index, backward.block_out(block))
                 if not (have & READ_FENCES):
                     if _certified(inst, "rm"):
-                        telemetry.count("fencecheck.certified")
                         continue
                     diag(block, index, "missing-frm",
                          "non-thread-local ldna is not followed by Frm/Fsc "
@@ -230,7 +229,6 @@ def check_function(func: Function,
                 have = _fences_before(block, index, forward.block_in(block))
                 if not (have & WRITE_FENCES):
                     if _certified(inst, "ww"):
-                        telemetry.count("fencecheck.certified")
                         continue
                     diag(block, index, "missing-fww",
                          "non-thread-local stna is not preceded by Fww/Fsc "
@@ -247,9 +245,6 @@ def check_function(func: Function,
                 "fencecheck", d.kind, d.message,
                 function=d.function, block=d.block, instruction=d.index,
                 x86=d.x86)
-    telemetry.count("fencecheck.functions")
-    if diags:
-        telemetry.count("fencecheck.violations", len(diags))
     return diags
 
 

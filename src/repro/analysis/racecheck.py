@@ -245,8 +245,4 @@ def classify_module(module: Module,
                 "racecheck", "racy", d.message,
                 function=d.function, block=d.block, instruction=d.index,
                 x86=d.x86)
-    telemetry.count("racecheck.racy", counts["racy"])
-    telemetry.count("racecheck.lock_protected", counts["lock-protected"])
-    telemetry.count("racecheck.atomic", counts["atomic"])
-    telemetry.count("racecheck.thread_local", counts["thread-local"])
     return report

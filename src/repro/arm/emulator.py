@@ -15,7 +15,6 @@ from __future__ import annotations
 import struct
 from typing import Callable, Optional
 
-from .. import telemetry
 from ..loader.externs import RETRY
 from .costs import cost_of
 from .isa import AImm, AInstr, AMem, DReg, XReg
@@ -178,13 +177,6 @@ class ArmEmulator:
         while not main.done:
             self._schedule()
         self.total_cycles = sum(t.cycles for t in self.threads)
-        if telemetry.enabled():
-            telemetry.count("emu.arm.cycles", self.total_cycles)
-            telemetry.count("emu.arm.fence_cycles",
-                            sum(t.fence_cycles for t in self.threads))
-            telemetry.count("emu.arm.instret",
-                            sum(t.instret for t in self.threads))
-            telemetry.count("emu.arm.threads", len(self.threads))
         return _signed(main.x["x0"])
 
     RETURN_SENTINEL = (1 << 44) + 7

@@ -23,7 +23,7 @@ diff        ranked deltas between two warehouse runs (time with a
 dash        render the warehouse to one self-contained HTML dashboard
 ledger      show run-ledger activity; ``--gc`` compacts the file
 
-``translate``, ``evaluate`` and ``validate`` accept ``--trace FILE``
+``translate``, ``tv``, ``evaluate`` and ``validate`` accept ``--trace FILE``
 (Chrome trace-event JSON, loadable in https://ui.perfetto.dev) and
 ``--remarks[=FILTER]`` (LLVM ``-Rpass``-style optimization remarks,
 optionally filtered by a regex over the remark origin).
@@ -98,12 +98,24 @@ def _telemetry_session(args: argparse.Namespace):
     from . import telemetry
 
     return telemetry.session(
-        trace=trace_on, metrics=True, remarks=remarks_on,
+        trace=trace_on, remarks=remarks_on,
         remark_filter=(args.remarks or None) if remarks_on else None)
 
 
-def _flush_telemetry(tel, args: argparse.Namespace) -> None:
-    """Write the Chrome trace and print collected remarks, as requested."""
+def _trace_counters(args: argparse.Namespace):
+    """A work-counter collector for a command that keeps none of its own:
+    open over the traced extent when --trace is given, so the trace can
+    chart the counts; a ``nullcontext(None)`` otherwise."""
+    if getattr(args, "trace", None) is None:
+        return nullcontext(None)
+    from .profiler import workcounters
+
+    return workcounters.collect()
+
+
+def _flush_telemetry(tel, args: argparse.Namespace, work=None) -> None:
+    """Write the Chrome trace (with ``work``'s totals as counter events)
+    and print collected remarks, as requested."""
     if tel is None:
         return
     import json
@@ -112,8 +124,7 @@ def _flush_telemetry(tel, args: argparse.Namespace) -> None:
 
     if getattr(args, "trace", None) and tel.tracer is not None:
         Path(args.trace).write_text(
-            json.dumps(telemetry.to_chrome_trace(tel.tracer,
-                                                 metrics=tel.metrics)))
+            json.dumps(telemetry.to_chrome_trace(tel.tracer, work=work)))
         print(f"trace written to {args.trace} "
               f"(open in https://ui.perfetto.dev)", file=sys.stderr)
     if getattr(args, "remarks", None) is not None and tel.remarks is not None:
@@ -156,10 +167,9 @@ def _cmd_translate(args: argparse.Namespace) -> int:
               "source and cannot take an ELF binary", file=sys.stderr)
         return 2
     start = perf_counter()
-    with _telemetry_session(args) as tel:
-        with workcounters.collect() as wc:
-            rc = _translate_and_check(args, source, obj)
-    _flush_telemetry(tel, args)
+    with _telemetry_session(args) as tel, workcounters.collect() as wc:
+        rc = _translate_and_check(args, source, obj)
+    _flush_telemetry(tel, args, wc)
     append_entry("translate", {
         "source": args.source,
         "config": args.config,
@@ -265,13 +275,13 @@ def _cmd_tv(args: argparse.Namespace) -> int:
         print("repro tv: the native configuration recompiles source and "
               "cannot take an ELF binary", file=sys.stderr)
         return 2
-    with _telemetry_session(args) as tel:
+    with _telemetry_session(args) as tel, _trace_counters(args) as wc:
         lasagne = Lasagne(fence_analysis=args.fence_analysis, tv=True)
         if source is None:
             built = lasagne.translate(obj, args.config)
         else:
             built = lasagne.build(source, args.config)
-    _flush_telemetry(tel, args)
+    _flush_telemetry(tel, args, wc)
     report = built.tv_report
 
     if args.sarif:
@@ -365,9 +375,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .phoenix import SIZE_SMALL, SIZE_TINY, evaluate_suite, geomean
 
     size = SIZE_TINY if args.size == "tiny" else SIZE_SMALL
-    with _telemetry_session(args) as tel:
+    with _telemetry_session(args) as tel, _trace_counters(args) as wc:
         rows = evaluate_suite(size=size, verify=False)
-    _flush_telemetry(tel, args)
+    _flush_telemetry(tel, args, wc)
     configs = ["native", "lifted", "opt", "popt", "ppopt"]
     print(f"{'benchmark':<18}" + "".join(f"{c:>9}" for c in configs))
     norm = {c: [] for c in configs}
@@ -834,18 +844,41 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return rc
 
 
+def _outcomes(built, run) -> dict[str, int]:
+    """The outcome numbers ``repro stats`` shows: fields of the build's
+    :class:`TranslationResult` and, with --run, its :class:`RunResult`."""
+    out = {"fences.naive": built.fences_naive, "fences.final": built.fences}
+    placed = built.placement
+    if placed is not None:
+        out.update({
+            "fences.inserted{kind=rm}": placed.loads_fenced,
+            "fences.inserted{kind=ww}": placed.stores_fenced,
+            "fences.skipped_stack": placed.skipped_stack,
+            "fences.skipped_escape": placed.skipped_escape,
+            "fences.skipped_interproc": placed.skipped_interproc,
+        })
+    if built.delayset is not None:
+        out["fences.skipped_delayset"] = (built.fences_elided_delayset
+                                          - built.fences_elided_sync)
+        out["fences.skipped_sync"] = built.fences_elided_sync
+    if run is not None:
+        out["emu.arm.cycles"] = run.cycles
+        out["emu.arm.instret"] = run.instructions_retired
+    return out
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     from . import telemetry
     from .core import Lasagne
+    from .profiler import workcounters
 
     source = _read_source(args.source)
     if source is None:
         return 2
-    with telemetry.session() as tel:
+    with telemetry.session() as tel, workcounters.collect() as wc:
         lasagne = Lasagne(verify=not args.no_verify)
         built = lasagne.build(source, args.config)
-        if args.run:
-            Lasagne.run(built)
+        run = Lasagne.run(built) if args.run else None
 
     print(f"== stage breakdown ({args.config}) ==")
     print(telemetry.format_tree(tel.tracer.roots,
@@ -864,13 +897,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         by_iter = stats.reduction_by_iteration()
         print("per-iteration reduction: " + ", ".join(
             f"iter{i}={by_iter[i]}" for i in sorted(by_iter)))
+        print("per-pass reduction: " + ", ".join(
+            f"{name}={n}" for name, n in stats.reduction_by_pass().items()))
 
-    snapshot = tel.metrics.snapshot()
+    # Work totals first, then what the build (and run) produced.
     print("\n== metrics ==")
-    for name, value in snapshot["counters"].items():
+    for name, value in {**wc.by_counter(), **_outcomes(built, run)}.items():
         print(f"  {name} = {value}")
-    for name, value in snapshot["gauges"].items():
-        print(f"  {name} = {value} (gauge)")
 
     histogram = tel.remarks.histogram()
     if histogram:

@@ -155,21 +155,14 @@ class _FuncCodegen:
         emitted = len(self.out.instructions())
         work("codegen.instructions", emitted, function=self.func.name)
         work("codegen.intervals", len(intervals), function=self.func.name)
-        telemetry.count("codegen.instructions", emitted,
-                        function=self.func.name)
-        telemetry.count("codegen.intervals", len(intervals),
-                        function=self.func.name)
-        if self._spill_count:
-            telemetry.count("codegen.spills", self._spill_count,
-                            function=self.func.name)
-            if telemetry.remarks_enabled():
-                telemetry.remark(
-                    "regalloc", "spill",
-                    f"linear scan spilled {self._spill_count} of "
-                    f"{len(intervals)} live intervals to frame slots; "
-                    f"{emitted} Arm instructions emitted",
-                    function=self.func.name,
-                    spills=self._spill_count, intervals=len(intervals))
+        if self._spill_count and telemetry.remarks_enabled():
+            telemetry.remark(
+                "regalloc", "spill",
+                f"linear scan spilled {self._spill_count} of "
+                f"{len(intervals)} live intervals to frame slots; "
+                f"{emitted} Arm instructions emitted",
+                function=self.func.name,
+                spills=self._spill_count, intervals=len(intervals))
         return self.out
 
     # ---- liveness + intervals ------------------------------------------

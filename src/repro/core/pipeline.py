@@ -25,10 +25,11 @@ from typing import Optional
 from .. import telemetry
 from ..profiler import memory as profmem
 from ..profiler import workcounters
+from ..analysis.summaries import analyze_module
 from ..arm.emulator import ArmEmulator
 from ..arm.program import ArmProgram
 from ..codegen import compile_lir_to_arm
-from ..fences import count_fences, merge_fences, place_fences
+from ..fences import PlacementStats, count_fences, merge_fences, place_fences
 from ..lir import Module, clone_module, verify_module
 from ..lifter import lift_program
 from ..minicc.codegen_x86 import compile_to_x86
@@ -97,6 +98,7 @@ class TranslationResult:
     fences_elided_interproc: int = 0    # of those, only via callee summaries
     fences_elided_delayset: int = 0     # fences removed by delay-set tier
     fences_elided_sync: int = 0         # of the elided, via lockset refinement
+    placement: Optional[PlacementStats] = None  # translated configs only
     delayset: Optional[object] = None   # DelaySetStats when the tier ran
     pointer_casts_before: int = 0
     pointer_casts_after: int = 0
@@ -107,11 +109,9 @@ class TranslationResult:
     # Intermediate modules, keyed by stage name (see TRANSLATE_STAGES /
     # NATIVE_STAGES); populated only under ``Lasagne(capture_stages=True)``.
     stages: dict[str, Module] = field(default_factory=dict)
-    # Telemetry (populated only when a repro.telemetry session is active):
-    # the root pipeline span, with one child span per stage, and a metrics
-    # snapshot taken when the translation finished.
+    # The root pipeline span, with one child span per stage; populated
+    # only when a repro.telemetry session is active.
     trace: Optional[telemetry.Span] = None
-    metrics: Optional[dict] = None
 
     def stage_seconds(self) -> dict[str, float]:
         """Wall time per pipeline stage, from the telemetry trace."""
@@ -142,8 +142,8 @@ class RunResult:
 
 def ingest_binary(data: bytes, entry: str = "main", strict: bool = True):
     """Front-end for real ELF64 executables: run ``repro.loader`` under a
-    telemetry span, record the ``loader.*`` coverage metrics the bench
-    trajectory tracks, and surface opaque externals as remarks.
+    telemetry span and surface opaque externals as remarks.  The
+    :class:`TriageReport` carries the loader's coverage numbers.
 
     Returns ``(X86Object, TriageReport)``; the object feeds
     :meth:`Lasagne.translate` exactly like a minicc-produced image.
@@ -152,12 +152,6 @@ def ingest_binary(data: bytes, entry: str = "main", strict: bool = True):
 
     with pipeline_stage("loader", entry=entry):
         obj, report = ingest_elf(data, entry, strict=strict)
-    telemetry.count("loader.functions_discovered", len(report.functions))
-    telemetry.count("loader.externals_resolved",
-                    len(report.externals_resolved))
-    telemetry.count("loader.externals_opaque",
-                    len(report.externals_opaque))
-    telemetry.count("loader.data_symbols", report.data_symbols)
     for name, addr in sorted(report.externals_opaque.items()):
         telemetry.remark(
             "loader", "opaque-external",
@@ -213,7 +207,6 @@ class Lasagne:
             tv_report=checker.report if checker is not None else None,
             stages=stages,
             trace=root if isinstance(root, telemetry.Span) else None,
-            metrics=telemetry.metrics_snapshot(),
         )
 
     def translate(
@@ -244,8 +237,12 @@ class Lasagne:
                 self._capture(stages, "refine", module)
             casts_after = module_pointer_casts(module)
             with pipeline_stage("place"):
-                placement = place_fences(
-                    module, use_analysis=self.fence_analysis != "walk")
+                # One ModuleAnalysis serves placement and the delay-set
+                # tier: inserting fences changes no points-to fact.
+                ma = (analyze_module(module)
+                      if self.fence_analysis != "walk" else None)
+                placement = place_fences(module, use_analysis=ma is not None,
+                                         module_analysis=ma)
                 fences_naive = count_fences(module)
                 delay_stats = None
                 if self.fence_analysis in ("delay-sets", "sync"):
@@ -253,7 +250,8 @@ class Lasagne:
                     # access it protects (before O2 / merging).
                     from ..analysis.delayset import elide_redundant_fences
                     delay_stats = elide_redundant_fences(
-                        module, sync=self.fence_analysis == "sync")
+                        module, ma, sync=self.fence_analysis == "sync")
+                del ma  # it pins the pre-O2 IR; free it before O2
             self._capture(stages, "place", module)
             stats = None
             if config != "lifted":
@@ -283,6 +281,7 @@ class Lasagne:
                                     if delay_stats is not None else 0),
             fences_elided_sync=(delay_stats.elided_sync
                                 if delay_stats is not None else 0),
+            placement=placement,
             delayset=delay_stats,
             pointer_casts_before=casts_before,
             pointer_casts_after=casts_after,
@@ -290,7 +289,6 @@ class Lasagne:
             tv_report=checker.report if checker is not None else None,
             stages=stages,
             trace=root if isinstance(root, telemetry.Span) else None,
-            metrics=telemetry.metrics_snapshot(),
         )
 
     # ---- convenience -------------------------------------------------------

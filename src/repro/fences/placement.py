@@ -264,13 +264,6 @@ def place_fences(module: Module, use_analysis: bool = True,
                             origins=_origin_addrs(inst))
     work("place.accesses", accesses_examined)
     work("place.fences", stats.loads_fenced + stats.stores_fenced)
-    telemetry.count("fences.inserted", stats.loads_fenced, kind="rm")
-    telemetry.count("fences.inserted", stats.stores_fenced, kind="ww")
-    telemetry.count("fences.skipped_stack", stats.skipped_stack)
-    telemetry.count("fences.skipped_escape", stats.skipped_escape)
-    telemetry.count("fences.skipped_interproc", stats.skipped_interproc)
-    if stats.leaked_fenced:
-        telemetry.count("fences.leaked_fenced", stats.leaked_fenced)
     return stats
 
 
@@ -288,7 +281,6 @@ def merge_fences(module: Module) -> int:
         for bb in func.blocks:
             removed += _merge_block(bb, func.name)
         removed += _merge_cross_block(func)
-    telemetry.count("fences.merged_away", removed)
     return removed
 
 

@@ -1,5 +1,7 @@
-"""mini-C: the C-subset compiler used to produce x86-64 binaries (lifter
-input) and native Arm binaries (the evaluation's Native baseline)."""
+"""mini-C: the C-subset compiler that produces x86-64 binaries (the
+lifter's input) and LIR (:mod:`.frontend_lir`).  The evaluation's Native
+baseline is that LIR, optimized and lowered by the same :mod:`repro.codegen`
+Arm backend that compiles translated code (``Lasagne.native``)."""
 
 from .astnodes import CType, FuncDef, Program
 from .codegen_x86 import CodegenError, compile_to_x86
@@ -14,7 +16,3 @@ __all__ = [
     "ParseError", "parse",
     "BUILTINS", "SemaError", "SemaResult", "analyze",
 ]
-
-from .codegen_arm import ArmCodegenError, compile_to_arm  # noqa: E402
-
-__all__ += ["ArmCodegenError", "compile_to_arm"]

@@ -147,11 +147,7 @@ class PassManager:
                 raise KeyError(f"unknown pass {name!r}")
         after = module.instruction_count()
         self.stats.add(name, before, after, iteration, changed)
-        telemetry.count("opt.pass.runs", pass_name=name)
         if changed:
-            telemetry.count("opt.pass.changed", pass_name=name)
-            telemetry.count("opt.instructions_removed", before - after,
-                            pass_name=name)
             if telemetry.remarks_enabled():
                 telemetry.remark(
                     f"opt.{name}", "changed",
@@ -182,7 +178,6 @@ class PassManager:
                     changed |= self.run_pass(module, name, iteration)
             if not changed:
                 break
-        telemetry.count("opt.fixpoint_iterations", self.stats.iterations)
         return self.stats
 
 

@@ -88,11 +88,3 @@ def is_pure(inst: Instruction) -> bool:
         or inst.is_terminator
         or isinstance(inst, Phi)
     )
-
-
-def may_write(inst: Instruction) -> bool:
-    return inst.may_write_memory()
-
-
-def may_read(inst: Instruction) -> bool:
-    return inst.may_read_memory()

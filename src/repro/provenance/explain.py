@@ -113,7 +113,7 @@ def build_explanation(source: str, config: str = "ppopt",
     from ..lifter.disassembler import disassemble_all
     from ..minicc import compile_to_x86
 
-    with telemetry.session(metrics=True, remarks=True) as tel:
+    with telemetry.session() as tel:
         lasagne = Lasagne(verify=verify)
         x86_listing: dict[str, list] = {}
         if config == "native":
@@ -128,12 +128,6 @@ def build_explanation(source: str, config: str = "ppopt",
             built = lasagne.translate(obj, config, entry)
         source_map = SourceMap.from_program(built.program)
         coverage = source_map.coverage()
-        telemetry.gauge("provenance.instruction_pct",
-                        round(coverage.instruction_pct, 2), config=config)
-        telemetry.gauge("provenance.memory_pct",
-                        round(coverage.memory_pct, 2), config=config)
-        telemetry.gauge("provenance.fence_pct",
-                        round(coverage.fence_pct, 2), config=config)
         remarks = list(tel.remarks.remarks) if tel.remarks else []
 
     fences: list[FenceBlame] = []

@@ -109,7 +109,6 @@ def run_peephole(func: Function) -> bool:
             if chain.root_ptr is None and chain.arg_root is None:
                 continue
             rule = _classify_rule(chain)
-            telemetry.count("refine.peephole_rewrites", rule=rule)
             if emit:
                 telemetry.remark(
                     "refine-peephole", rule,

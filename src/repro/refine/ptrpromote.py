@@ -62,7 +62,6 @@ def run_pointer_promotion(module: Module) -> bool:
             new_type = _promotable_type(arg)
             if new_type is None:
                 continue
-            telemetry.count("refine.params_promoted")
             if emit:
                 telemetry.remark(
                     "refine-ptrpromote", "parameter-promoted",

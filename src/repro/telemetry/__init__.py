@@ -1,16 +1,19 @@
-"""``repro.telemetry`` — pipeline tracing, metrics, and optimization remarks.
+"""``repro.telemetry`` — pipeline tracing and optimization remarks.
 
 The instrumentation throughout the translator (pipeline stages, opt
 passes, fence placement, refinement, the register allocator, both
 emulators) reports through this module's hooks:
 
 * :func:`span` — open a timed region (nested; Chrome-trace exportable),
-* :func:`count` / :func:`gauge` — bump a labelled metric,
 * :func:`remark` — report a structured, source-located decision.
+
+Counters are not telemetry's business: deterministic work counts go to
+:mod:`repro.profiler.workcounters`, and outcome numbers (fences placed,
+cycles, ...) are fields of the results the pipeline returns.
 
 Telemetry is **off by default and costs nothing when off**: each hook
 reads one module global; with no session installed :func:`span` returns
-the shared no-op span and the others return immediately.  Call sites
+the shared no-op span and :func:`remark` returns immediately.  Call sites
 that would build expensive remark messages hoist
 :func:`remarks_enabled` first.
 
@@ -21,7 +24,6 @@ Use :func:`session` to turn telemetry on for a dynamic extent::
     with telemetry.session() as tel:
         built = Lasagne().build(source, "ppopt")
     print(telemetry.format_tree(tel.tracer.roots))
-    print(tel.metrics.snapshot())
     for r in tel.remarks.remarks:
         print(r.format())
 
@@ -37,7 +39,6 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Union
 
-from .metrics import Histogram, MetricsRegistry
 from .remarks import Remark, RemarkSink
 from .tracer import (
     NOOP_SPAN,
@@ -51,17 +52,14 @@ from .tracer import (
 
 
 class Telemetry:
-    """One observability session: tracer + metrics + remarks sinks.
+    """One observability session: tracer + remarks sinks.
 
-    Any component can be disabled (``None``) to skip its collection.
+    Either component can be disabled (``None``) to skip its collection.
     """
 
-    def __init__(self, trace: bool = True, metrics: bool = True,
-                 remarks: bool = True,
+    def __init__(self, trace: bool = True, remarks: bool = True,
                  remark_filter: Optional[str] = None) -> None:
         self.tracer: Optional[Tracer] = Tracer() if trace else None
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if metrics else None)
         self.remarks: Optional[RemarkSink] = (
             RemarkSink(remark_filter) if remarks else None)
 
@@ -80,11 +78,10 @@ def enabled() -> bool:
 
 
 @contextmanager
-def session(trace: bool = True, metrics: bool = True, remarks: bool = True,
+def session(trace: bool = True, remarks: bool = True,
             remark_filter: Optional[str] = None) -> Iterator[Telemetry]:
     """Install a fresh :class:`Telemetry` for the extent of the block."""
-    tel = Telemetry(trace=trace, metrics=metrics, remarks=remarks,
-                    remark_filter=remark_filter)
+    tel = Telemetry(trace=trace, remarks=remarks, remark_filter=remark_filter)
     global _current
     with _lock:
         previous, _current = _current, tel
@@ -105,26 +102,6 @@ def span(name: str, category: str = "span",
     return tel.tracer.span(name, category, **attrs)
 
 
-def count(name: str, n: Union[int, float] = 1, **labels: Any) -> None:
-    tel = _current
-    if tel is not None and tel.metrics is not None:
-        tel.metrics.count(name, n, **labels)
-
-
-def gauge(name: str, value: Union[int, float], **labels: Any) -> None:
-    tel = _current
-    if tel is not None and tel.metrics is not None:
-        tel.metrics.gauge(name, value, **labels)
-
-
-def histogram(name: str, value: Union[int, float], **labels: Any) -> None:
-    """Observe one value of a labelled distribution (p50/p95/p99 in the
-    snapshot, fixed-bucket counts for dashboards)."""
-    tel = _current
-    if tel is not None and tel.metrics is not None:
-        tel.metrics.histogram(name, value, **labels)
-
-
 def remarks_enabled() -> bool:
     """Hoist this check before building per-instruction remark messages."""
     tel = _current
@@ -140,18 +117,9 @@ def remark(origin: str, kind: str, message: str,
             Remark(origin, kind, message, function, block, instruction, args))
 
 
-def metrics_snapshot() -> Optional[dict[str, dict[str, Union[int, float]]]]:
-    """Snapshot of the active session's metrics, or None."""
-    tel = _current
-    if tel is not None and tel.metrics is not None:
-        return tel.metrics.snapshot()
-    return None
-
-
 __all__ = [
     "NOOP_SPAN", "NoopSpan", "Span", "Tracer",
-    "Histogram", "MetricsRegistry", "Remark", "RemarkSink", "Telemetry",
-    "count", "current", "enabled", "format_tree", "gauge", "histogram",
-    "metrics_snapshot", "remark", "remarks_enabled", "session", "span",
-    "to_chrome_trace", "to_json",
+    "Remark", "RemarkSink", "Telemetry",
+    "current", "enabled", "format_tree", "remark", "remarks_enabled",
+    "session", "span", "to_chrome_trace", "to_json",
 ]

@@ -20,7 +20,7 @@ Three exporters ship with the tracer:
 * :func:`to_chrome_trace` — Chrome trace-event format: ``ph: "X"``
   complete events plus ``ph: "M"`` process/thread-name metadata (the
   trace is self-describing in Perfetto — threads render as ``main`` /
-  ``worker-N`` instead of raw idents) and, when a metrics registry is
+  ``worker-N`` instead of raw idents) and, when work counters are
   passed, ``ph: "C"`` counter events so the counters chart alongside
   the spans.  Loadable in ``chrome://tracing`` and
   https://ui.perfetto.dev.
@@ -232,15 +232,15 @@ def to_json(tracer: Tracer) -> list[dict[str, Any]]:
     return [convert(root) for root in tracer.roots]
 
 
-def to_chrome_trace(tracer: Tracer, metrics: Any = None) -> dict[str, Any]:
+def to_chrome_trace(tracer: Tracer, work: Any = None) -> dict[str, Any]:
     """Chrome trace-event JSON (load in chrome://tracing or Perfetto).
 
     Besides the ``ph:"X"`` complete events, the trace carries ``ph:"M"``
     metadata naming the process (``repro``) and each thread (``main`` or
-    ``worker-N`` in order of first appearance), and — when ``metrics``
-    (a :class:`~repro.telemetry.metrics.MetricsRegistry`) is given —
-    one ``ph:"C"`` counter event per series, so the registry's final
-    totals chart in Perfetto next to the spans they describe.
+    ``worker-N`` in order of first appearance), and — when ``work`` (a
+    :class:`~repro.profiler.workcounters.WorkCounters` collected over the
+    same extent) is given — one ``ph:"C"`` counter event per work counter,
+    so the totals chart in Perfetto next to the spans they describe.
     """
     pid = os.getpid()
     events: list[dict[str, Any]] = []
@@ -283,28 +283,12 @@ def to_chrome_trace(tracer: Tracer, metrics: Any = None) -> dict[str, Any]:
         })
 
     counters: list[dict[str, Any]] = []
-    if metrics is not None:
-        snapshot = metrics.snapshot()
-        for series, value in snapshot.get("counters", {}).items():
+    if work is not None:
+        for name, value in work.by_counter().items():
             counters.append({
-                "name": series, "cat": "metrics", "ph": "C",
+                "name": name, "cat": "work", "ph": "C",
                 "ts": last_ts, "pid": pid, "tid": 0,
                 "args": {"value": value},
-            })
-        for series, value in snapshot.get("gauges", {}).items():
-            counters.append({
-                "name": series, "cat": "metrics", "ph": "C",
-                "ts": last_ts, "pid": pid, "tid": 0,
-                "args": {"value": value},
-            })
-        # Histogram series chart their exact quantiles side by side (one
-        # counter event, three stacked args) next to the spans they time.
-        for series, summary in snapshot.get("histograms", {}).items():
-            counters.append({
-                "name": series, "cat": "metrics", "ph": "C",
-                "ts": last_ts, "pid": pid, "tid": 0,
-                "args": {"p50": summary["p50"], "p95": summary["p95"],
-                         "p99": summary["p99"]},
             })
 
     return {"traceEvents": meta + events + counters,

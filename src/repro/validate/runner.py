@@ -82,8 +82,7 @@ def _run_one(task) -> dict:
     # Each program runs under its own telemetry session so the corpus
     # report can aggregate per-stage wall time (and, on request, a merged
     # Chrome trace and a remark histogram) even across worker processes.
-    with telemetry.session(trace=True, metrics=False,
-                           remarks=opts.collect_remarks,
+    with telemetry.session(remarks=opts.collect_remarks,
                            remark_filter=opts.remark_filter) as tel:
         try:
             verdict = run_oracle(source, opts.oracle)
@@ -131,35 +130,40 @@ def _take(iterator: Iterator[tuple], n: int) -> list[tuple]:
     return batch
 
 
+def _percentile(values: list[float], q: float) -> float:
+    """Exact linear-interpolated quantile of sorted ``values`` (0 if empty)."""
+    if not values:
+        return 0.0
+    pos = q * (len(values) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(values) - 1)
+    frac = pos - lo
+    return values[lo] * (1.0 - frac) + values[hi] * frac
+
+
 def _timing_summary(rows: list[dict], slowest: int = 5) -> dict:
-    """Wall-time distribution across programs + per-stage percentiles.
-
-    Quantiles come from :class:`repro.telemetry.Histogram` — the exact
-    (linear-interpolated) leg of the histogram metric type, the same
-    math every other report in the codebase quotes.
-    """
-    from ..telemetry import Histogram
-
-    overall = Histogram()
-    per_stage: dict[str, Histogram] = {}
+    """Wall-time distribution across programs + per-stage percentiles."""
+    overall = sorted(row["elapsed"] for row in rows)
+    per_stage: dict[str, list[float]] = {}
     for row in rows:
-        overall.observe(row["elapsed"])
         for stage, seconds in row.get("stage_seconds", {}).items():
-            per_stage.setdefault(stage, Histogram()).observe(seconds)
+            per_stage.setdefault(stage, []).append(seconds)
     stages = {}
-    for stage, hist in sorted(per_stage.items()):
+    for stage, values in sorted(per_stage.items()):
+        values.sort()
         stages[stage] = {
-            "total_seconds": round(hist.total, 6),
-            "p50_seconds": round(hist.percentile(0.50), 6),
-            "p95_seconds": round(hist.percentile(0.95), 6),
+            "total_seconds": round(sum(values), 6),
+            "p50_seconds": round(_percentile(values, 0.50), 6),
+            "p95_seconds": round(_percentile(values, 0.95), 6),
         }
     ranked = sorted(rows, key=lambda r: r["elapsed"], reverse=True)
     return {
-        "min_seconds": round(overall.min or 0.0, 6),
-        "median_seconds": round(overall.percentile(0.50), 6),
-        "p95_seconds": round(overall.percentile(0.95), 6),
-        "max_seconds": round(overall.max or 0.0, 6),
-        "mean_seconds": round(overall.mean, 6),
+        "min_seconds": round(overall[0] if overall else 0.0, 6),
+        "median_seconds": round(_percentile(overall, 0.50), 6),
+        "p95_seconds": round(_percentile(overall, 0.95), 6),
+        "max_seconds": round(overall[-1] if overall else 0.0, 6),
+        "mean_seconds": round(sum(overall) / len(overall)
+                              if overall else 0.0, 6),
         "slowest": [
             {"seed": r.get("seed"), "origin": r["origin"],
              "elapsed_seconds": round(r["elapsed"], 6)}

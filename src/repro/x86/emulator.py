@@ -16,7 +16,6 @@ from __future__ import annotations
 import struct
 from typing import Callable, Optional
 
-from .. import telemetry
 from .decoder import decode_one
 from .isa import CC_NUM, Imm, Instr, Mem, Reg
 from .objfile import X86Object
@@ -270,10 +269,6 @@ class X86Emulator:
             self._write_reg(main, reg, val)
         while not main.done:
             self._schedule()
-        if telemetry.enabled():
-            telemetry.count("emu.x86.instret",
-                            sum(t.instret for t in self.threads))
-            telemetry.count("emu.x86.threads", len(self.threads))
         return _signed(main.regs["rax"], 64)
 
     RETURN_SENTINEL = 0xDEAD0000

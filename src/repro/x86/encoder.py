@@ -50,10 +50,6 @@ def _i32(v: int) -> bytes:
     return struct.pack("<i", v)
 
 
-def _u32(v: int) -> bytes:
-    return struct.pack("<I", v & 0xFFFFFFFF)
-
-
 def _u64(v: int) -> bytes:
     return struct.pack("<Q", v & (2**64 - 1))
 

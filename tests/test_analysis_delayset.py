@@ -133,6 +133,42 @@ def _fences(m):
             for i in f.instructions() if isinstance(i, Fence)]
 
 
+def _mp_through_calls_module():
+    """MP with the writer's stores in two callees called back to back:
+    ``writer`` calls ``set_x()`` (x = 1) then ``set_y()`` (y = 1); the
+    reader loads y then x.  Nothing of ``writer`` lies between the calls,
+    so only call structure orders the two stores."""
+    m = Module("t")
+    gx = GlobalVariable("x", I64)
+    gy = GlobalVariable("y", I64)
+    m.add_global(gx)
+    m.add_global(gy)
+    setters = []
+    for name, g in (("set_x", gx), ("set_y", gy)):
+        f = Function(name, FunctionType(I64, ()), [])
+        m.add_function(f)
+        b = IRBuilder(f.new_block("entry"))
+        b.store(ConstantInt(I64, 1), g)
+        b.ret(ConstantInt(I64, 0))
+        setters.append(f)
+    writer = Function("writer", FunctionType(I64, ()), [])
+    reader = Function("reader", FunctionType(I64, ()), [])
+    m.add_function(writer)
+    m.add_function(reader)
+    bw = IRBuilder(writer.new_block("entry"))
+    for f in setters:
+        bw.call(f, [])
+    bw.ret(ConstantInt(I64, 0))
+    br = IRBuilder(reader.new_block("entry"))
+    flag = br.load(gy, name="flag")
+    data = br.load(gx, name="data")
+    br.ret(br.add(flag, data, "s"))
+    from repro.fences import place_fences
+
+    place_fences(m)
+    return m
+
+
 class TestModuleElision:
     def test_sb_module_elides_everything(self):
         m = _two_thread_module(mp_shape=False)
@@ -155,6 +191,42 @@ class TestModuleElision:
         assert kinds == ["rm", "ww"]
         witnesses = [d for d in stats.decisions if d.verdict == "required"]
         assert all("delay edge" in d.reason for d in witnesses)
+
+    def test_mp_across_back_to_back_calls_keeps_critical_fences(self):
+        # exit[set_x] -> enter[set_y] puts x = 1 po-before y = 1 although
+        # no access or fence of the writer lies between the two calls.
+        m = _mp_through_calls_module()
+        assert len(_fences(m)) == 4
+        stats = elide_redundant_fences(m)
+        assert stats.required == 2
+        kept = {(d.func, d.kind) for d in stats.decisions
+                if d.verdict == "required"}
+        assert kept == {("set_y", "ww"), ("reader", "rm")}
+        assert audit_module(m) == []
+
+    def test_ppopt_build_keeps_mp_fences_across_calls(self):
+        from repro.core import Lasagne
+
+        source = """
+int x = 0;
+int y = 0;
+int set_x() { x = 1; return 0; }
+int set_y() { y = 1; return 0; }
+int writer(int t) { set_x(); set_y(); return 0; }
+int main() {
+  int w = spawn(writer, 0);
+  int r = y;
+  int d = x;
+  join(w);
+  return r + d;
+}
+"""
+        built = Lasagne(fence_analysis="delay-sets").build(source, "ppopt")
+        assert built.fences_naive == 4
+        kept = {(d.func, d.kind) for d in built.delayset.decisions
+                if d.verdict == "required"}
+        assert kept == {("set_y", "ww"), ("main", "rm")}
+        assert built.fences_elided_delayset == 2
 
     def test_elision_stamps_certificates(self):
         m = _two_thread_module(mp_shape=False)

@@ -179,7 +179,7 @@ class TestTelemetryFlags:
         doc = json.loads(trace.read_text())
         assert set(doc) >= {"traceEvents", "displayTimeUnit"}
         # v6 traces are self-describing: spans plus ph:"M" process/
-        # thread names and ph:"C" metric counters.
+        # thread names and ph:"C" work counters.
         assert {e["ph"] for e in doc["traceEvents"]} >= {"X", "M", "C"}
         events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         names = {e["name"] for e in events}
@@ -188,6 +188,23 @@ class TestTelemetryFlags:
                 "opt", "merge", "codegen"} <= names
         assert {e["name"] for e in events if e["cat"] == "pass"} >= \
             {"mem2reg", "gvn", "dce"}
+
+    def test_trace_counter_events_are_work_counter_totals(self, fenced_file,
+                                                          tmp_path):
+        import json
+
+        from repro.core import Lasagne
+        from repro.profiler import workcounters
+
+        trace = tmp_path / "trace.json"
+        assert main(["translate", fenced_file, "--trace", str(trace)]) == 0
+        events = json.loads(trace.read_text())["traceEvents"]
+        counters = {e["name"]: e["args"]["value"]
+                    for e in events if e["ph"] == "C"}
+        with workcounters.collect() as wc:
+            Lasagne().build(FENCED, "ppopt")
+        assert "opt.visits" in counters
+        assert counters == wc.by_counter()
 
     def test_remarks_flag_prints_fence_decisions(self, fenced_file, capsys):
         rc = main(["translate", fenced_file, "--remarks"])

@@ -1,15 +1,16 @@
 """Differential tests of the three mini-C backends.
 
 Every program is executed on (a) the x86 emulator via ``compile_to_x86``,
-(b) the Arm emulator via the direct ``compile_to_arm`` backend and (c) the
-LIR interpreter via ``compile_to_lir`` — all three must agree on the result
-and printed output.
+(b) the Arm emulator via the Native baseline (``Lasagne().native``: LIR,
+O2 and the ``repro.codegen`` backend) and (c) the LIR interpreter via
+``compile_to_lir`` — all three must agree on the result and printed output.
 """
 
 
 from repro.arm import ArmEmulator
+from repro.core import Lasagne
 from repro.lir import Interpreter, verify_module
-from repro.minicc import compile_to_arm, compile_to_x86
+from repro.minicc import compile_to_x86
 from repro.minicc.frontend_lir import compile_to_lir
 from repro.x86 import X86Emulator
 
@@ -19,7 +20,7 @@ def run_all(source: str):
     x86 = X86Emulator(obj)
     rx = x86.run()
 
-    arm = ArmEmulator(compile_to_arm(source))
+    arm = ArmEmulator(Lasagne().native(source).program)
     ra = arm.run()
 
     lir = compile_to_lir(source)

@@ -1,15 +1,13 @@
-"""Tests for the repro.telemetry subsystem: tracer, metrics, remarks."""
+"""Tests for the repro.telemetry subsystem: tracer and remarks."""
 
 import json
 import threading
-from pathlib import Path
 
 import pytest
 
 from repro import telemetry
 from repro.telemetry import (
     NOOP_SPAN,
-    MetricsRegistry,
     Remark,
     RemarkSink,
     Tracer,
@@ -141,15 +139,22 @@ class TestChromeTraceExport:
         assert labels == ["worker-1"]
 
     def test_counter_events_from_metrics(self):
+        from repro.profiler.workcounters import WorkCounters
+
         tracer = self._traced()
-        metrics = MetricsRegistry()
-        metrics.count("fences.inserted", 7, kind="rm")
-        metrics.gauge("depth", 3)
-        doc = to_chrome_trace(tracer, metrics=metrics)
+        work = WorkCounters()
+        work.add("opt", "opt.visits", "main", 7)
+        work.add("opt", "opt.visits", "f", 3)
+        work.add("place", "place.fences", "main", 2)
+        doc = to_chrome_trace(tracer, work=work)
         counters = {e["name"]: e for e in doc["traceEvents"]
                     if e["ph"] == "C"}
-        assert counters["fences.inserted{kind=rm}"]["args"] == {"value": 7}
-        assert counters["depth"]["args"] == {"value": 3}
+        # One event per work counter, summed over stages and functions.
+        assert counters["opt.visits"]["args"] == {"value": 10}
+        assert counters["place.fences"]["args"] == {"value": 2}
+        assert len(counters) == 2
+        assert not [e for e in to_chrome_trace(tracer)["traceEvents"]
+                    if e["ph"] == "C"]
         json.loads(json.dumps(doc))
 
     def test_child_nested_within_parent(self):
@@ -264,57 +269,6 @@ class TestTracerExceptionSafety:
         doomed, = tracer.find("doomed")
         assert doomed.attrs["error"] == "KeyError"
 
-class TestMetricsRegistry:
-    def test_counters_accumulate(self):
-        reg = MetricsRegistry()
-        reg.count("x")
-        reg.count("x", 4)
-        assert reg.counter("x") == 5
-
-    def test_labels_identify_series(self):
-        reg = MetricsRegistry()
-        reg.count("fences", 3, kind="rm")
-        reg.count("fences", 2, kind="ww")
-        assert reg.counter("fences", kind="rm") == 3
-        assert reg.counter("fences", kind="ww") == 2
-        assert reg.total("fences") == 5
-
-    def test_label_order_does_not_matter(self):
-        reg = MetricsRegistry()
-        reg.count("m", 1, a="1", b="2")
-        reg.count("m", 1, b="2", a="1")
-        assert reg.counter("m", a="1", b="2") == 2
-
-    def test_gauges_record_last_value(self):
-        reg = MetricsRegistry()
-        reg.gauge("depth", 3)
-        reg.gauge("depth", 7)
-        assert reg.gauge_value("depth") == 7
-
-    def test_snapshot_renders_flattened_names(self):
-        reg = MetricsRegistry()
-        reg.count("fences.inserted", 3, kind="rm")
-        reg.gauge("size", 10)
-        snap = reg.snapshot()
-        assert snap["counters"] == {"fences.inserted{kind=rm}": 3}
-        assert snap["gauges"] == {"size": 10}
-        json.loads(json.dumps(snap))
-
-    def test_thread_safety(self):
-        reg = MetricsRegistry()
-
-        def bump():
-            for _ in range(1000):
-                reg.count("n")
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert reg.counter("n") == 4000
-
-
 class TestRemarkSink:
     def test_emit_and_select(self):
         sink = RemarkSink()
@@ -353,166 +307,37 @@ class TestSessionFacade:
         assert telemetry.span("x") is NOOP_SPAN
         with telemetry.span("x", category="stage") as s:
             assert s is NOOP_SPAN
-        telemetry.count("c", 3)           # must not raise
-        telemetry.gauge("g", 1)
-        telemetry.remark("o", "k", "m")
+        telemetry.remark("o", "k", "m")   # must not raise
         assert not telemetry.remarks_enabled()
-        assert telemetry.metrics_snapshot() is None
 
     def test_session_installs_and_restores(self):
         with telemetry.session() as tel:
             assert telemetry.current() is tel
             with telemetry.span("s", category="stage"):
-                telemetry.count("c")
                 telemetry.remark("o", "k", "m")
             assert telemetry.remarks_enabled()
         assert telemetry.current() is None
         assert [r.name for r in tel.tracer.roots] == ["s"]
-        assert tel.metrics.counter("c") == 1
         assert len(tel.remarks.remarks) == 1
 
     def test_sessions_nest(self):
         with telemetry.session() as outer:
             with telemetry.session() as inner:
                 assert telemetry.current() is inner
-                telemetry.count("c")
+                telemetry.remark("o", "k", "m")
             assert telemetry.current() is outer
-        assert inner.metrics.counter("c") == 1
-        assert outer.metrics.counter("c") == 0
+        assert len(inner.remarks.remarks) == 1
+        assert outer.remarks.remarks == []
 
     def test_components_can_be_disabled(self):
         with telemetry.session(trace=False, remarks=False) as tel:
             assert telemetry.span("x") is NOOP_SPAN
             assert not telemetry.remarks_enabled()
             telemetry.remark("o", "k", "m")  # silently dropped
-            telemetry.count("c")
         assert tel.tracer is None and tel.remarks is None
-        assert tel.metrics.counter("c") == 1
 
     def test_remark_filter_threaded_through(self):
         with telemetry.session(remark_filter="^place") as tel:
             telemetry.remark("place-fences", "k", "kept")
             telemetry.remark("merge-fences", "k", "dropped")
         assert [r.message for r in tel.remarks.remarks] == ["kept"]
-
-
-class TestHistogram:
-    def test_observe_and_exact_percentiles(self):
-        from repro.telemetry import Histogram
-
-        hist = Histogram()
-        for v in [1.0, 2.0, 3.0, 4.0, 5.0]:
-            hist.observe(v)
-        assert hist.count == 5
-        assert hist.min == 1.0 and hist.max == 5.0
-        assert hist.mean == pytest.approx(3.0)
-        assert hist.percentile(0.50) == pytest.approx(3.0)
-        assert hist.percentile(0.0) == pytest.approx(1.0)
-        assert hist.percentile(1.0) == pytest.approx(5.0)
-        # linear interpolation between order statistics
-        assert hist.percentile(0.95) == pytest.approx(4.8)
-
-    def test_empty_histogram_is_safe(self):
-        from repro.telemetry import Histogram
-
-        hist = Histogram()
-        assert hist.count == 0
-        assert hist.percentile(0.95) == 0.0
-        assert hist.min is None and hist.max is None
-        summary = hist.summary()
-        assert summary["count"] == 0
-
-    def test_summary_has_cumulative_buckets(self):
-        from repro.telemetry import Histogram
-
-        hist = Histogram(buckets=(1.0, 10.0))
-        for v in (0.5, 5.0, 50.0):
-            hist.observe(v)
-        summary = hist.summary()
-        assert summary["buckets"]["le=1"] == 1
-        assert summary["buckets"]["le=10"] == 2
-        assert summary["buckets"]["le=+inf"] == 3
-        assert summary["p50"] == pytest.approx(5.0)
-
-    def test_registry_histogram_with_labels(self):
-        reg = MetricsRegistry()
-        for v in (0.1, 0.2, 0.3):
-            reg.histogram("latency", v, stage="lift")
-        reg.histogram("latency", 9.0, stage="opt")
-        lift = reg.histogram_value("latency", stage="lift")
-        assert lift.count == 3
-        assert reg.histogram_value("latency", stage="opt").count == 1
-        assert reg.histogram_value("latency", stage="nope") is None
-
-    def test_snapshot_includes_histogram_summaries(self):
-        reg = MetricsRegistry()
-        reg.histogram("latency", 0.5, stage="lift")
-        snap = reg.snapshot()
-        assert "histograms" in snap
-        row = snap["histograms"]["latency{stage=lift}"]
-        assert row["count"] == 1 and row["p95"] == pytest.approx(0.5)
-        json.loads(json.dumps(snap))
-
-    def test_module_hook_records_into_session(self):
-        with telemetry.session() as tel:
-            telemetry.histogram("h", 1.0, kind="a")
-            telemetry.histogram("h", 3.0, kind="a")
-        hist = tel.metrics.histogram_value("h", kind="a")
-        assert hist.count == 2
-        telemetry.histogram("h", 9.0)  # no session: silently dropped
-
-    def test_chrome_trace_exports_histogram_counters(self):
-        tracer = Tracer()
-        with tracer.span("root"):
-            pass
-        reg = MetricsRegistry()
-        reg.histogram("stage_seconds", 0.25, stage="lift")
-        events = to_chrome_trace(tracer, metrics=reg)
-        counters = [e for e in events["traceEvents"]
-                    if e.get("ph") == "C"
-                    and e["name"].startswith("stage_seconds")]
-        assert counters, "histogram series missing from the trace"
-        args = counters[0]["args"]
-        assert set(args) == {"p50", "p95", "p99"}
-        assert args["p50"] == pytest.approx(0.25)
-
-
-class TestSnapshotDeterminism:
-    """Rendered metric keys must not depend on PYTHONHASHSEED."""
-
-    SCRIPT = (
-        "from repro.telemetry import MetricsRegistry\n"
-        "reg = MetricsRegistry()\n"
-        "reg.count('m', 1, tags={'b', 'a', 'c'}, cfg={'y': 2, 'x': 1})\n"
-        "reg.histogram('h', 0.5, names=frozenset(['q', 'p']))\n"
-        "snap = reg.snapshot()\n"
-        "print(sorted(snap['counters']) + sorted(snap['histograms']))\n"
-    )
-
-    def test_set_valued_labels_render_canonically(self):
-        reg = MetricsRegistry()
-        reg.count("m", 1, tags={"b", "a"})
-        snap = reg.snapshot()
-        assert snap["counters"] == {"m{tags={a,b}}": 1}
-
-    def test_dict_valued_labels_render_canonically(self):
-        reg = MetricsRegistry()
-        reg.count("m", 1, cfg={"y": 2, "x": 1})
-        assert list(reg.snapshot()["counters"]) == ["m{cfg={x:1,y:2}}"]
-
-    def test_keys_identical_across_hash_seeds(self):
-        import os
-        import subprocess
-        import sys
-
-        outputs = set()
-        for seed in ("0", "1", "4242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [str(Path(__file__).resolve().parent.parent / "src")]
-                + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-            proc = subprocess.run(
-                [sys.executable, "-c", self.SCRIPT],
-                capture_output=True, text=True, env=env, check=True)
-            outputs.add(proc.stdout)
-        assert len(outputs) == 1, outputs

@@ -1,6 +1,6 @@
 """Integration tests: telemetry emitted by the translator itself —
 pipeline stage spans, pass iteration records, fence/refine remarks,
-emulator metrics, validate-runner timing aggregation, bench emitter."""
+result fields, validate-runner timing aggregation, bench emitter."""
 
 import json
 
@@ -8,7 +8,8 @@ import pytest
 
 from repro import telemetry
 from repro.core import Lasagne
-from repro.fences import place_fences
+from repro.arm import ArmEmulator
+from repro.fences import merge_fences, place_fences
 from repro.lir import (
     ConstantInt,
     Function,
@@ -59,12 +60,12 @@ class TestPipelineTrace:
         pass_spans = tel.tracer.find(category="pass")
         assert {"gvn", "instcombine", "dce"} <= {s.name for s in pass_spans}
 
-    def test_metrics_snapshot_attached(self, built_with_telemetry):
+    def test_result_carries_placement_stats(self, built_with_telemetry):
         _, built, _ = built_with_telemetry
-        assert built.metrics is not None
-        counters = built.metrics["counters"]
-        assert counters.get("fences.inserted{kind=rm}", 0) > 0
-        assert counters.get("fences.merged_away", 0) > 0
+        assert built.placement is not None
+        assert built.placement.loads_fenced > 0
+        assert built.fences_naive == built.placement.total_inserted
+        assert built.fences < built.fences_naive  # merging removed some
 
     def test_chrome_export_has_stage_and_pass_events(self,
                                                      built_with_telemetry):
@@ -77,15 +78,16 @@ class TestPipelineTrace:
     def test_no_session_means_no_trace(self):
         built = Lasagne().build(SRC, "ppopt")
         assert built.trace is None
-        assert built.metrics is None
         assert built.stage_seconds() == {}
 
     def test_emulator_metrics(self, built_with_telemetry):
-        tel, _, run = built_with_telemetry
-        assert tel.metrics.counter("emu.arm.cycles") == run.cycles
-        assert tel.metrics.counter("emu.arm.instret") == \
-            run.instructions_retired
-        assert tel.metrics.counter("emu.arm.threads") == 3
+        _, built, run = built_with_telemetry
+        emu = ArmEmulator(built.program)
+        assert emu.run() == run.result
+        assert run.cycles == emu.total_cycles > 0
+        assert run.instructions_retired == \
+            sum(t.instret for t in emu.threads) > 0
+        assert len(emu.threads) == 3
 
 
 class TestPassStatsIterations:
@@ -151,7 +153,7 @@ def _module_with_global_accesses():
 class TestFenceRemarks:
     def test_placement_remarks_with_locations(self):
         with telemetry.session() as tel:
-            place_fences(_module_with_global_accesses())
+            stats = place_fences(_module_with_global_accesses())
         inserted = tel.remarks.select("place-fences", "fence-inserted")
         skipped = tel.remarks.select("place-fences", "fence-skipped")
         assert len(inserted) == 2 and len(skipped) == 1
@@ -160,34 +162,36 @@ class TestFenceRemarks:
             assert r.block == "entry"
             assert r.instruction and ("load" in r.instruction
                                       or "store" in r.instruction)
-        assert tel.metrics.counter("fences.inserted", kind="rm") == 1
-        assert tel.metrics.counter("fences.inserted", kind="ww") == 1
-        assert tel.metrics.counter("fences.skipped_stack") == 1
+        assert stats.loads_fenced == 1
+        assert stats.stores_fenced == 1
+        assert stats.skipped_stack == 1
 
     def test_merge_remarks(self):
-        # The tiny module above never places two adjacent fences, so use a
-        # real popt build, where DSE/GVN create adjacent fence runs.
+        # The tiny module above never places two adjacent fences, so merge
+        # the module a real popt build had after O2, where DSE/GVN create
+        # adjacent fence runs.
+        built = Lasagne(capture_stages=True).build(SRC, "popt")
         with telemetry.session() as tel:
-            built = Lasagne().build(SRC, "popt")
+            removed = merge_fences(built.stages["opt"])
         merged = tel.remarks.select("merge-fences", "fence-merged")
         assert merged, "popt build must merge at least one fence run"
         for r in merged:
             assert r.function and r.block
             assert r.args["run_length"] >= 2
-        assert tel.metrics.counter("fences.merged_away") >= len(merged)
+        assert removed >= len(merged)
         assert built.fences < built.fences_naive
 
 
 class TestRefinementRemarks:
     def test_peephole_rule_remarks_from_full_build(self):
         with telemetry.session() as tel:
-            Lasagne().build(SRC, "ppopt")
+            built = Lasagne().build(SRC, "ppopt")
         rules = {r.kind for r in tel.remarks.remarks
                  if r.origin == "refine-peephole"}
         assert rules and rules <= {"rule1-pointer-cast",
                                    "rule2-address-offset",
                                    "rule3-parameter-offset"}
-        assert tel.metrics.total("refine.peephole_rewrites") > 0
+        assert built.pointer_casts_after < built.pointer_casts_before
 
     def test_pointer_promotion_remark(self):
         m = Module("t")
@@ -207,7 +211,7 @@ class TestRefinementRemarks:
         # The promotion propagates: callee's %p, then caller's %x which
         # flows into the now-pointer-typed parameter.
         assert {r.function for r in remarks} == {"callee", "caller"}
-        assert tel.metrics.counter("refine.params_promoted") == len(remarks)
+        assert len(remarks) == 2  # one remark per promoted parameter
 
 
 class TestValidateTiming:
