@@ -46,7 +46,7 @@ cannot introduce a cross-thread race on those accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from ..lir import (
     GEP,
@@ -382,9 +382,6 @@ class AliasInfo:
             return False
         return all(o.kind == "stack" and not o.escaped for o in pts)
 
-    def escaped_objects(self) -> list[MemObject]:
-        return [o for o in self._solver.objects.values() if o.escaped]
-
     def stack_objects(self) -> list[MemObject]:
         return [o for o in self._solver.objects.values() if o.kind == "stack"]
 
@@ -485,10 +482,6 @@ class AliasInfo:
             f"{o.kind}:{o.name}" + ("!" if o.escaped else "") for o in pts)
         local = "thread-local" if self.is_thread_local(value) else "shared"
         return f"{{{names or 'empty'}}} [{local}]"
-
-    def iter_tracked(self) -> Iterator[tuple[Value, frozenset[MemObject]]]:
-        for key, value in self._solver._values.items():
-            yield value, frozenset(self._solver.pts.get(key, set()))
 
 
 def analyze_function(func: Function,

@@ -55,9 +55,6 @@ class FunctionSummary:
     touches: int                        # mod/ref on caller-invisible memory
     recursive: bool = False             # conservatively summarised
 
-    def is_conservative(self) -> bool:
-        return self.recursive
-
     def describe(self) -> str:
         bits = {0: "-", REF: "r", MOD: "w", MOD_REF: "rw"}
         params = []

@@ -31,7 +31,6 @@ exhaustive 4-bit concrete evaluation of both sides.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from typing import Callable, NamedTuple, Optional
 
@@ -125,7 +124,6 @@ class TermBuilder:
         self.cap = cap
         self.created = 0
         self._interned: dict[tuple, Term] = {}
-        self._serials: dict[int, str] = {}
         self.true = self.const(1, 1)
         self.false = self.const(1, 0)
         self.mem0 = self._mk("mem0", (), (), ("mem",))
@@ -142,27 +140,6 @@ class TermBuilder:
             self._interned[key] = term
             self.created += 1
         return term
-
-    def serial(self, term: Term) -> str:
-        """A stable structural digest (oracle key for uninterpreted
-        nodes): equal terms — even across builders — share it."""
-        memo = self._serials
-        stack = [term]
-        while stack:
-            t = stack[-1]
-            if t.tid in memo:
-                stack.pop()
-                continue
-            missing = [a for a in t.args if a.tid not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            h = hashlib.sha256()
-            h.update(repr((t.op, t.attr,
-                           tuple(memo[a.tid] for a in t.args))).encode())
-            memo[t.tid] = h.hexdigest()[:24]
-        return memo[term.tid]
 
     # ---- leaves --------------------------------------------------------
     def const(self, bits: int, value: int) -> Term:

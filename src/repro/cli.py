@@ -15,13 +15,13 @@ stats       per-stage / per-pass telemetry breakdown for one program
 profile     sampling profiler + deterministic work counters + memory
 bench       write the BENCH_translate.json perf baseline; ``--compare``
             gates against the trajectory (exit 3 on regression)
-warehouse   ingest bench/profile/ledger artifacts into the sqlite
-            warehouse (``.repro/warehouse.sqlite``); ``runs`` lists them
+warehouse   the run store (``.repro/warehouse.sqlite``): ``ingest``
+            refreshes it from the bench trajectory, ``runs`` lists runs
 diff        ranked deltas between two warehouse runs (time with a
             noise/work-change verdict, work cells, fence tiers, passes,
             flamegraph frames); exit 2 on unresolvable runs
 dash        render the warehouse to one self-contained HTML dashboard
-ledger      show run-ledger activity; ``--gc`` compacts the file
+ledger      show run-ledger activity; ``--gc`` keeps the newest entries
 
 ``translate``, ``tv``, ``evaluate`` and ``validate`` accept ``--trace FILE``
 (Chrome trace-event JSON, loadable in https://ui.perfetto.dev) and
@@ -929,7 +929,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         workcounters,
         write_flamegraph,
     )
-    from .profiler.ledger import append_entry
+    from .profiler.ledger import ledger_entry, record_run
+    from .warehouse import record_profile
 
     source, obj = _load_input(args.source)
     if obj is None:
@@ -969,21 +970,27 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         Path(args.json).write_text(
             json.dumps(report_to_dict(report, top=args.top), indent=2))
         print(f"profile JSON written to {args.json}", file=sys.stderr)
-    append_entry("profile", {
-        "source": args.source,
-        "config": args.config,
-        "builds": builds,
-        "samples": profile.total,
-        "known_stage_pct": round(profile.known_stage_pct(), 2),
-        "work_total": wc.total(),
-        "work_digest": wc.digest(),
-    }, config={"source": args.source, "config": args.config})
+
+    def record(store) -> None:
+        record_profile(store, report)
+        store.put_ledger_entry(ledger_entry("profile", {
+            "source": args.source,
+            "config": args.config,
+            "builds": builds,
+            "samples": profile.total,
+            "known_stage_pct": round(profile.known_stage_pct(), 2),
+            "work_total": wc.total(),
+            "work_digest": wc.digest(),
+        }, config={"source": args.source, "config": args.config}))
+
+    record_run(record)
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .profiler.ledger import append_entry
+    from .profiler.ledger import ledger_entry, record_run
     from .telemetry.bench import read_trajectory, run_bench, write_bench
+    from .warehouse import record_bench
 
     report = run_bench(size=args.size, repeats=args.repeats,
                        configs=args.configs)
@@ -1017,51 +1024,55 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"{loader['externals_resolved']} externals resolved, "
               f"{loader['externals_opaque']} opaque")
     print(f"baseline written to {path}")
-    append_entry("bench", {
-        "size": args.size,
-        "repeats": args.repeats,
-        "compare": args.compare,
-        "rc": rc,
-        "work_digests": {
-            config: summary.get("work_digest")
-            for config, summary in report["summary"].items()
-            if isinstance(summary, dict) and "work_digest" in summary},
-        "translate_seconds": {
-            config: summary.get("translate_seconds_total")
-            for config, summary in report["summary"].items()
-            if isinstance(summary, dict)
-            and "translate_seconds_total" in summary},
-    }, config={"size": args.size, "repeats": args.repeats,
-               "configs": args.configs})
+
+    def record(store) -> None:
+        record_bench(store, report, path)
+        store.put_ledger_entry(ledger_entry("bench", {
+            "size": args.size,
+            "repeats": args.repeats,
+            "compare": args.compare,
+            "rc": rc,
+            "work_digests": {
+                config: summary.get("work_digest")
+                for config, summary in report["summary"].items()
+                if isinstance(summary, dict) and "work_digest" in summary},
+            "translate_seconds": {
+                config: summary.get("translate_seconds_total")
+                for config, summary in report["summary"].items()
+                if isinstance(summary, dict)
+                and "translate_seconds_total" in summary},
+        }, config={"size": args.size, "repeats": args.repeats,
+                   "configs": args.configs}))
+
+    record_run(record)
     return rc
 
 
 def _open_ingested_warehouse(args: argparse.Namespace):
-    """Open the warehouse named by ``--db`` and (unless ``--no-ingest``)
-    refresh it from the artifacts under ``--root`` first."""
-    from .warehouse import Warehouse, ingest_all
+    """Open the warehouse named by ``--db`` and refresh it from the
+    ``--bench`` trajectory (idempotent) when that file exists."""
+    from .warehouse import Warehouse, ingest_bench
 
-    db = args.db
-    store = Warehouse(None if db == ":memory:" else db)
-    if not getattr(args, "no_ingest", False):
-        ingest_all(store, args.root, bench=args.bench_file)
+    store = Warehouse(args.db)
+    if Path(args.bench).exists():
+        ingest_bench(store, args.bench)
     return store
 
 
-def _add_warehouse_flags(parser: argparse.ArgumentParser) -> None:
+def _add_db_flag(parser: argparse.ArgumentParser) -> None:
     from .warehouse import DEFAULT_DB
 
     parser.add_argument("--db", default=DEFAULT_DB,
                         help="warehouse sqlite file "
                              f"(default {DEFAULT_DB}; ':memory:' works)")
-    parser.add_argument("--root", default=".",
-                        help="directory holding the bench file, ledger "
-                             "and *.profile.json artifacts")
-    parser.add_argument("--bench-file", default="BENCH_translate.json",
-                        help="bench trajectory file name under --root")
-    parser.add_argument("--no-ingest", action="store_true",
-                        help="query the existing warehouse without "
-                             "re-ingesting artifacts first")
+
+
+def _add_warehouse_flags(parser: argparse.ArgumentParser) -> None:
+    _add_db_flag(parser)
+    parser.add_argument("--bench", default="BENCH_translate.json",
+                        metavar="PATH",
+                        help="bench trajectory file ingested first "
+                             "(default BENCH_translate.json)")
 
 
 def _cmd_warehouse(args: argparse.Namespace) -> int:
@@ -1139,28 +1150,24 @@ def _cmd_dash(args: argparse.Namespace) -> int:
 
 def _cmd_ledger(args: argparse.Namespace) -> int:
     """``repro ledger [--gc]``: run-ledger activity and compaction."""
-    from .profiler.ledger import gc_ledger, ledger_path, read_ledger
+    from .warehouse import Warehouse
 
-    if args.gc:
-        summary = gc_ledger(args.root, keep=args.keep)
-        print(f"ledger gc: {summary['entries_before']} -> "
-              f"{summary['entries_after']} entries, "
-              f"{summary['bytes_reclaimed']} bytes reclaimed "
-              f"({ledger_path(args.root)})")
+    if not Path(args.db).exists():  # reading must not create the store
+        print(f"ledger: no entries at {args.db}")
         return 0
-    entries = read_ledger(args.root)
-    if not entries:
-        print(f"ledger: no entries at {ledger_path(args.root)}")
+    with Warehouse(args.db) as store:
+        if args.gc:
+            before = store.ledger_summary()[0]
+            deleted = store.gc_ledger(args.keep)
+            print(f"ledger gc: {before} -> {before - deleted} entries "
+                  f"({args.db})")
+            return 0
+        total, failures, by_command = store.ledger_summary()
+        entries = store.ledger_entries() if args.tail else []
+    if not total:
+        print(f"ledger: no entries at {args.db}")
         return 0
-    by_command: dict[str, int] = {}
-    failures = 0
-    for entry in entries:
-        command = str(entry.get("command", ""))
-        by_command[command] = by_command.get(command, 0) + 1
-        rc = entry.get("rc")
-        if isinstance(rc, int) and rc != 0:
-            failures += 1
-    print(f"ledger: {len(entries)} entries at {ledger_path(args.root)} "
+    print(f"ledger: {total} entries at {args.db} "
           f"({failures} non-zero exit(s))")
     for command in sorted(by_command):
         print(f"  {command:<12} {by_command[command]:>6}")
@@ -1422,8 +1429,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "warehouse",
-        help="sqlite warehouse over bench/profile/ledger artifacts: "
-             "`ingest` refreshes it, `runs` lists comparable runs")
+        help="the sqlite run store: `ingest` refreshes it from the bench "
+             "trajectory, `runs` lists comparable runs")
     p.add_argument("action", choices=["ingest", "runs"])
     _add_warehouse_flags(p)
     p.set_defaults(func=_cmd_warehouse)
@@ -1467,12 +1474,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "ledger",
-        help="run-ledger activity summary; --gc drops the rotated "
-             "generation and truncates the live file")
-    p.add_argument("--root", default=".",
-                   help="directory holding .repro/ledger.jsonl")
+        help="run-ledger activity summary; --gc keeps only the newest "
+             "--keep entries")
+    _add_db_flag(p)
     p.add_argument("--gc", action="store_true",
-                   help="compact the ledger in place")
+                   help="delete all but the newest --keep entries")
     p.add_argument("--keep", type=int, default=500,
                    help="entries kept by --gc (default 500)")
     p.add_argument("--tail", type=int, default=0, metavar="N",

@@ -262,8 +262,9 @@ class Lasagne:
                 if config in ("popt", "ppopt"):
                     with pipeline_stage("merge"):
                         merge_fences(module)
-                        optimize_module(module, ["dce"], verify=self.verify,
-                                        tv=checker)
+                        stats.extend(optimize_module(
+                            module, ["dce"], verify=self.verify,
+                            tv=checker))
                     self._capture(stages, "merge", module)
             if self.verify:
                 verify_module(module)

@@ -27,8 +27,8 @@ from .instructions import (
     Store,
     Unreachable,
 )
-from .types import FloatType, IntType, PointerType, Type
-from .values import ConstantFloat, ConstantInt, Value
+from .types import IntType, PointerType, Type
+from .values import Value
 
 
 class IRBuilder:
@@ -36,8 +36,6 @@ class IRBuilder:
 
     def __init__(self, block: Optional[BasicBlock] = None) -> None:
         self.block = block
-        # None means "append at end"; otherwise insert before this one.
-        self._before: Optional[Instruction] = None
         # Provenance stamp applied to every inserted instruction that does
         # not already carry origins (see repro.provenance.origin).
         self.origins: tuple = ()
@@ -45,11 +43,6 @@ class IRBuilder:
     # ---- positioning --------------------------------------------------
     def position_at_end(self, block: BasicBlock) -> None:
         self.block = block
-        self._before = None
-
-    def position_before(self, inst: Instruction) -> None:
-        self.block = inst.parent
-        self._before = inst
 
     # ---- provenance ----------------------------------------------------
     def set_origin(self, *origins) -> None:
@@ -61,20 +54,8 @@ class IRBuilder:
             raise RuntimeError("IRBuilder has no insertion block")
         if self.origins and not inst.origins:
             inst.origins = self.origins
-        if self._before is None:
-            self.block.append(inst)
-        else:
-            self.block.insert_before(self._before, inst)
+        self.block.append(inst)
         return inst
-
-    # ---- constants -----------------------------------------------------
-    @staticmethod
-    def const_int(type_: IntType, value: int) -> ConstantInt:
-        return ConstantInt(type_, value)
-
-    @staticmethod
-    def const_float(type_: FloatType, value: float) -> ConstantFloat:
-        return ConstantFloat(type_, value)
 
     # ---- memory ---------------------------------------------------------
     def alloca(self, type_: Type, name: str = "") -> Alloca:

@@ -53,10 +53,6 @@ class Value:
                 if op is self:
                     user.set_operand(i, new)
 
-    @property
-    def is_constant(self) -> bool:
-        return isinstance(self, Constant)
-
     def short_name(self) -> str:
         return f"%{self.name}" if self.name else "%<unnamed>"
 

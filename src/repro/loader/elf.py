@@ -28,7 +28,6 @@ EM_X86_64 = 62
 
 # e_type
 ET_EXEC, ET_DYN = 2, 3
-ET_NAMES = {1: "rel", 2: "exec", 3: "dyn", 4: "core"}
 
 # sh_type
 SHT_NOBITS, SHT_SYMTAB, SHT_DYNSYM, SHT_RELA = 8, 2, 11, 4
@@ -65,10 +64,6 @@ class ElfHeader:
     e_phnum: int
     e_shnum: int
     e_shstrndx: int
-
-    @property
-    def type_name(self) -> str:
-        return ET_NAMES.get(self.e_type, f"type{self.e_type}")
 
 
 @dataclass(frozen=True)

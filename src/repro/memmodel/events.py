@@ -188,12 +188,6 @@ class Execution:
     def rf_pairs(self) -> set[tuple[int, int]]:
         return {(w, r) for r, w in self.rf.items()}
 
-    def same_thread(self, a: int, b: int) -> bool:
-        return (
-            self.events[a].tid == self.events[b].tid
-            and self.events[a].tid != 0
-        )
-
     def external(self, pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
         """Pairs not related by po (init-thread events count as external)."""
         return {

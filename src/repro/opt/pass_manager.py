@@ -88,6 +88,14 @@ class PassStats:
         if iteration + 1 > self.iterations:
             self.iterations = iteration + 1
 
+    def extend(self, other: "PassStats") -> None:
+        """Append a later run's records, continuing the iteration
+        numbering after this run's last iteration."""
+        offset = self.iterations
+        for rec in other.records:
+            self.add(rec.name, rec.before, rec.after,
+                     offset + rec.iteration, rec.changed)
+
     def reduction_by_pass(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for rec in self.records:

@@ -21,8 +21,9 @@ each span take*), this package answers three sharper questions:
   regression.
 
 Plus :mod:`~repro.profiler.memory` (tracemalloc per-stage peaks into
-the span tree and bench rows) and :mod:`~repro.profiler.ledger` (the
-append-only ``.repro/ledger.jsonl`` record of every run).
+the span tree and bench rows) and :mod:`~repro.profiler.ledger` (every
+run's entry in the warehouse's ``ledger_entries`` table, and the
+best-effort :func:`record_run` that bench and profile runs go through).
 
 See docs/observability.md for the work-counter taxonomy and a worked
 regression-gate walkthrough.
@@ -34,15 +35,7 @@ from .attribution import (
     render_report,
     report_to_dict,
 )
-from .ledger import (
-    LEDGER_SCHEMA,
-    append_entry,
-    config_digest,
-    gc_ledger,
-    ledger_path,
-    read_ledger,
-    rotated_path,
-)
+from .ledger import LEDGER_SCHEMA, append_entry, config_digest, record_run
 from .memory import MemoryAccountant, StageMemory, account, accounting
 from .regression import (
     EXIT_REGRESSION,
@@ -65,8 +58,7 @@ __all__ = [
     "LEDGER_SCHEMA", "MemoryAccountant", "Profile", "RegressionReport",
     "SamplingProfiler", "StageMemory", "WorkCounters", "account",
     "accounting", "append_entry", "check_regression", "collect",
-    "config_digest", "counting", "eligible_entries", "gc_ledger",
-    "hot_cells", "ledger_path", "read_ledger", "render_report",
-    "report_to_dict", "rotated_path", "scope", "stage_of", "work",
-    "write_flamegraph",
+    "config_digest", "counting", "eligible_entries", "hot_cells",
+    "record_run", "render_report", "report_to_dict", "scope", "stage_of",
+    "work", "write_flamegraph",
 ]

@@ -11,7 +11,8 @@ accountant, then renders the three views side by side:
 * **memory** — tracemalloc peak/delta per stage.
 
 :func:`render_report` is the human view; :func:`report_to_dict` feeds
-``--json`` and the run ledger.
+``--json``; :func:`repro.warehouse.record_profile` records the run in
+the warehouse.
 """
 
 from __future__ import annotations
@@ -110,10 +111,9 @@ def render_report(report: AttributionReport, top: int = 10) -> str:
 def report_to_dict(report: AttributionReport, top: int = 10) -> dict:
     """JSON artifact of one profile run.
 
-    Since the warehouse ingests these, each artifact is self-describing:
-    it carries the git SHA + dirty flag of the code that produced it and
-    the full collapsed-stack profile (for flamegraph diffs), not just
-    the top-frame summary.
+    Each artifact is self-describing: it carries the git SHA + dirty
+    flag of the code that produced it and the full collapsed-stack
+    profile, not just the top-frame summary.
     """
     from ..telemetry.bench import git_dirty, git_sha
 

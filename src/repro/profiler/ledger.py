@@ -1,31 +1,27 @@
-"""Run ledger: one JSONL line per translator invocation.
+"""Run ledger: one row per translator invocation, in the warehouse.
 
 Every ``repro translate`` / ``validate`` / ``bench`` / ``profile`` run
-appends a single-line JSON record — UTC timestamp, git SHA + dirty
-flag, the command, its configuration, the deterministic work-counter
-digest and headline timings — to ``.repro/ledger.jsonl`` under the
-current directory.
+records a single entry — UTC timestamp, git SHA + dirty flag, the
+command, its configuration, the deterministic work-counter digest and
+headline timings — in the ``ledger_entries`` table of the run store
+(``.repro/warehouse.sqlite`` under the current directory, see
+:mod:`repro.warehouse`), keyed by the sha256 of the entry's canonical
+JSON.  ``repro ledger`` summarises the table; ``repro ledger --gc``
+keeps only the newest entries.
 
-This is the observability substrate the translation-service work
-(ROADMAP item 2) will account cache hits against: a content-addressed
-cache needs to know exactly which (input, config, code-version) tuples
-were translated when, and at what cost.  The warehouse
-(:mod:`repro.warehouse`) ingests the ledger for cross-run queries.
-
-Schema v2 hardening: every entry is stamped with ``schema`` (this
-module's :data:`LEDGER_SCHEMA`), and a ``config_digest`` — sha256 over
-the canonical JSON of the caller-supplied configuration dict — so two
+Every entry is stamped with ``schema`` (this module's
+:data:`LEDGER_SCHEMA`) and a ``config_digest`` — sha256 over the
+canonical JSON of the caller-supplied configuration dict — so two
 entries with the same digest describe runs of the *same* (command,
-configuration) cell and are directly comparable.  The file is also
-size-capped: when an append would grow ``ledger.jsonl`` past
-:data:`MAX_LEDGER_BYTES` (override with ``REPRO_LEDGER_MAX_BYTES``),
-the current file rotates to ``ledger.jsonl.1`` (one generation kept)
-and a fresh file starts.  ``repro ledger --gc`` drops the rotated
-generation and truncates the live file to the newest entries.
+configuration) cell and are directly comparable.
 
-Ledger writes are best-effort: a read-only checkout or full disk must
-never break a translation, so all OSErrors are swallowed and
-:func:`append_entry` returns ``None`` instead of a path.
+Recording is best-effort: a read-only checkout or full disk must never
+break a translation, so :func:`record_run` swallows ``sqlite3.Error``,
+``OSError`` and :class:`~repro.warehouse.schema.SchemaTooNew` (a store
+migrated by a newer build), and returns ``None`` instead of the store's
+path.
+``REPRO_LEDGER=0`` turns all recording off (ledger entries and the
+bench/profile runs alike).
 """
 
 from __future__ import annotations
@@ -35,31 +31,14 @@ import json
 import os
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
-LEDGER_DIR = ".repro"
-LEDGER_NAME = "ledger.jsonl"
-
-#: Entry schema version stamped on every line (bump on layout changes).
+#: Entry schema version stamped on every entry (bump on layout changes).
 LEDGER_SCHEMA = 2
 
-#: Rotation threshold for ``ledger.jsonl`` (1 MiB by default).
-MAX_LEDGER_BYTES = 1 << 20
-
-#: Set ``REPRO_LEDGER=0`` to disable ledger writes (e.g. in tests that
-#: must not touch the working tree).
+#: Set ``REPRO_LEDGER=0`` to disable recording (e.g. in tests that must
+#: not touch the working tree).
 _DISABLE_ENV = "REPRO_LEDGER"
-_MAX_BYTES_ENV = "REPRO_LEDGER_MAX_BYTES"
-
-
-def ledger_path(root: Optional[os.PathLike] = None) -> Path:
-    return Path(root or ".") / LEDGER_DIR / LEDGER_NAME
-
-
-def rotated_path(root: Optional[os.PathLike] = None) -> Path:
-    """The single kept rotation generation (``ledger.jsonl.1``)."""
-    path = ledger_path(root)
-    return path.with_name(path.name + ".1")
 
 
 def config_digest(config: Optional[dict]) -> str:
@@ -73,46 +52,43 @@ def config_digest(config: Optional[dict]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _max_bytes() -> int:
+def record_run(write: Callable, root: Optional[os.PathLike] = None) \
+        -> Optional[Path]:
+    """Open the run store under ``root``, call ``write(store)`` and
+    commit; returns the store's path, or None if recording is disabled
+    or the write failed."""
+    if os.environ.get(_DISABLE_ENV, "") == "0":
+        return None
+    # Imported here: importing the profiler must not load sqlite3.
+    import sqlite3
+
+    from ..warehouse.schema import SchemaTooNew
+    from ..warehouse.store import DEFAULT_DB, Warehouse
+
+    path = Path(root or ".") / DEFAULT_DB
     try:
-        return int(os.environ.get(_MAX_BYTES_ENV, MAX_LEDGER_BYTES))
-    except ValueError:
-        return MAX_LEDGER_BYTES
+        with Warehouse(path) as store:
+            write(store)
+            store.commit()
+    except (sqlite3.Error, OSError, SchemaTooNew):
+        return None
+    return path
 
 
-def _rotate_if_needed(path: Path, incoming: int) -> None:
-    """Rotate ``ledger.jsonl`` -> ``ledger.jsonl.1`` when the append
-    would cross the size cap (one generation kept, older data dropped)."""
-    cap = _max_bytes()
-    if cap <= 0:
-        return
-    try:
-        size = path.stat().st_size
-    except OSError:
-        return
-    if size + incoming <= cap:
-        return
-    path.replace(path.with_name(path.name + ".1"))
-
-
-def append_entry(command: str, record: dict,
-                 root: Optional[os.PathLike] = None,
-                 config: Optional[dict] = None) -> Optional[Path]:
-    """Append one run record; returns the path, or None if disabled or
-    the write failed.
+def ledger_entry(command: str, record: dict,
+                 config: Optional[dict] = None) -> dict:
+    """Build one ledger entry: the stamp (timestamp, git state, command,
+    schema, config digest) followed by ``record``.
 
     ``config`` is the command's configuration subset (source, config
     name, fence analysis, ...); its canonical digest is stamped on the
     entry so comparable runs are groupable.  When omitted, the digest
     covers the whole record (still deterministic, just coarser).
     """
-    if os.environ.get(_DISABLE_ENV, "") == "0":
-        return None
     from ..telemetry.bench import git_dirty, git_sha
 
     entry = {
-        "timestamp": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "sha": git_sha(),
         "dirty": git_dirty(),
         "command": command,
@@ -121,78 +97,14 @@ def append_entry(command: str, record: dict,
             config if config is not None else record),
     }
     entry.update(record)
-    line = json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
-    path = ledger_path(root)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _rotate_if_needed(path, len(line))
-        with path.open("a") as fh:
-            fh.write(line)
-    except OSError:
-        return None
-    return path
+    return entry
 
 
-def _read_lines(path: Path) -> list[dict]:
-    try:
-        text = path.read_text()
-    except OSError:
-        return []
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(entry, dict):
-            out.append(entry)
-    return out
-
-
-def read_ledger(root: Optional[os.PathLike] = None) -> list[dict]:
-    """Parse every well-formed ledger line, oldest first, across the
-    rotated generation and the live file (bad lines skipped)."""
-    return _read_lines(rotated_path(root)) + _read_lines(ledger_path(root))
-
-
-def gc_ledger(root: Optional[os.PathLike] = None,
-              keep: int = 500) -> dict:
-    """``repro ledger --gc``: drop the rotated generation and truncate
-    the live file to the newest ``keep`` entries.
-
-    Returns a summary dict (entries before/after, bytes reclaimed).
-    """
-    path = ledger_path(root)
-    rotated = rotated_path(root)
-    before_entries = len(read_ledger(root))
-    before_bytes = 0
-    for p in (path, rotated):
-        try:
-            before_bytes += p.stat().st_size
-        except OSError:
-            pass
-    live = _read_lines(path)
-    kept = live[-keep:] if keep >= 0 else live
-    try:
-        rotated.unlink(missing_ok=True)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("".join(
-            json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
-            for e in kept))
-    except OSError:
-        pass
-    after_bytes = 0
-    try:
-        after_bytes = path.stat().st_size
-    except OSError:
-        pass
-    return {
-        "entries_before": before_entries,
-        "entries_after": len(kept),
-        "bytes_before": before_bytes,
-        "bytes_after": after_bytes,
-        "bytes_reclaimed": max(0, before_bytes - after_bytes),
-    }
+def append_entry(command: str, record: dict,
+                 root: Optional[os.PathLike] = None,
+                 config: Optional[dict] = None) -> Optional[Path]:
+    """Record one :func:`ledger_entry`; returns the store's path, or
+    None if disabled or the write failed."""
+    return record_run(
+        lambda store: store.put_ledger_entry(
+            ledger_entry(command, record, config)), root)

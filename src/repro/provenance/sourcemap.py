@@ -115,22 +115,11 @@ class SourceMap:
         return sm
 
     # ---- queries -------------------------------------------------------
-    def for_function(self, name: str) -> list[SourceMapEntry]:
-        return [e for e in self.entries if e.function == name]
-
     def fences(self) -> list[SourceMapEntry]:
         return [e for e in self.entries if e.is_fence]
 
     def memory_accesses(self) -> list[SourceMapEntry]:
         return [e for e in self.entries if e.is_memory]
-
-    def by_address(self) -> dict[int, list[SourceMapEntry]]:
-        """Index entries by every x86 address they blame."""
-        table: dict[int, list[SourceMapEntry]] = {}
-        for e in self.entries:
-            for o in e.origins:
-                table.setdefault(o.addr, []).append(e)
-        return table
 
     def unresolved(self) -> list[SourceMapEntry]:
         return [e for e in self.entries if not e.resolved]

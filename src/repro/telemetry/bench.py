@@ -75,6 +75,14 @@ counts plus the checker's own deterministic cost (``tv.checks``,
 summary.  A refutation appearing in the trajectory is a miscompile
 regression, visible the same way a fencecheck violation would be.
 
+Schema v10 moves the attribution matrix out of the tracked file: the
+in-memory :func:`run_bench` report still carries ``work_cells`` on
+every row, but :func:`write_bench` drops them, so
+``BENCH_translate.json`` keeps only summaries, per-row totals and
+digests.  ``repro bench`` records the run, cells included, straight
+into the warehouse (:func:`repro.warehouse.record_bench`), under the
+same run that re-ingesting the file yields.
+
 CLI: ``python -m repro bench [--size tiny|small] [--repeats N] [--out FILE]
 [--compare [REF]]``.
 """
@@ -88,7 +96,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Optional
 
-BENCH_VERSION = 9
+BENCH_VERSION = 10
 DEFAULT_OUT = "BENCH_translate.json"
 
 
@@ -391,13 +399,18 @@ def _dedupe_trajectory(trajectory: list[dict]) -> list[dict]:
     return list(reversed(keep))
 
 
+def _without_cells(row: dict) -> dict:
+    return {key: value for key, value in row.items() if key != "work_cells"}
+
+
 def write_bench(report: dict, path: str = DEFAULT_OUT) -> Path:
     """Write the report, *appending* a trajectory entry for this run.
 
     The snapshot fields (``programs``/``summary``) always reflect the
-    latest run; ``trajectory`` accumulates one ``{sha, timestamp, size,
-    dirty, summary}`` entry per invocation so history survives rewrites,
-    deduplicated by ``(sha, size)`` keeping the newest.
+    latest run, without the rows' ``work_cells`` (v10: the warehouse
+    holds them); ``trajectory`` accumulates one ``{sha, timestamp,
+    size, dirty, summary}`` entry per invocation so history survives
+    rewrites, deduplicated by ``(sha, size)`` keeping the newest.
     """
     out = Path(path)
     trajectory = _load_trajectory(out)
@@ -411,6 +424,14 @@ def write_bench(report: dict, path: str = DEFAULT_OUT) -> Path:
         "summary": report.get("summary", {}),
     })
     full = dict(report)
+    if "programs" in report:
+        full["programs"] = {
+            program: {config: _without_cells(row)
+                      for config, row in configs.items()}
+            for program, configs in report["programs"].items()}
+    if "loader" in report:
+        full["loader"] = {program: _without_cells(row)
+                          for program, row in report["loader"].items()}
     full["trajectory"] = _dedupe_trajectory(trajectory)
     out.write_text(json.dumps(full, indent=2) + "\n")
     return out

@@ -1,10 +1,13 @@
 """repro.warehouse — the cross-run observability store.
 
-Three layers over one stdlib-``sqlite3`` database:
+The one run store: ``repro translate``/``validate``/``bench``/
+``profile`` record their runs and ledger entries straight into one
+stdlib-``sqlite3`` database (``.repro/warehouse.sqlite``), and three
+layers work over it:
 
-* :mod:`~repro.warehouse.ingest` loads bench trajectories
-  (``BENCH_translate.json``), ``repro profile --json`` artifacts and
-  the run ledger into natural-key fact tables, idempotently;
+* :mod:`~repro.warehouse.ingest` records bench and profile runs and
+  ingests the one tracked file, the ``BENCH_translate.json``
+  trajectory, into natural-key fact tables, idempotently;
 * :mod:`~repro.warehouse.diff` joins two runs and ranks the deltas —
   wall time with a noise/work-change verdict from the deterministic
   work digests, stage×function work cells, fence elisions per tier,
@@ -14,13 +17,13 @@ Three layers over one stdlib-``sqlite3`` database:
   MAD-based anomaly flags.
 
 CLI: ``repro warehouse ingest|runs``, ``repro diff A B``,
-``repro dash --html``.
+``repro dash --html``, ``repro ledger``.
 """
 
 from .dashboard import ANOMALY_MADS, anomalies, build_dashboard
 from .diff import (DiffReport, diff_runs, render_markdown, render_text,
                    to_dict, to_json)
-from .ingest import ingest_all, ingest_bench, ingest_ledger, ingest_profile
+from .ingest import ingest_bench, record_bench, record_profile
 from .schema import SCHEMA_VERSION, migrate, schema_version
 from .store import DEFAULT_DB, RunInfo, Warehouse, open_warehouse
 
@@ -34,12 +37,11 @@ __all__ = [
     "anomalies",
     "build_dashboard",
     "diff_runs",
-    "ingest_all",
     "ingest_bench",
-    "ingest_ledger",
-    "ingest_profile",
     "migrate",
     "open_warehouse",
+    "record_bench",
+    "record_profile",
     "render_markdown",
     "render_text",
     "schema_version",

@@ -266,19 +266,11 @@ def _program_section(store: Warehouse, run: RunInfo) -> list[str]:
 
 
 def _ledger_section(store: Warehouse) -> list[str]:
-    entries = store.ledger_entries()
+    entries, failures, by_command = store.ledger_summary()
     if not entries:
         return []
-    by_command: dict[str, int] = {}
-    failures = 0
-    for entry in entries:
-        by_command[str(entry.get("command", ""))] = \
-            by_command.get(str(entry.get("command", "")), 0) + 1
-        rc = entry.get("rc")
-        if isinstance(rc, int) and rc != 0:
-            failures += 1
     out = ["<h2>Ledger activity</h2>",
-           f'<p class="sub">{len(entries)} entries'
+           f'<p class="sub">{entries} entries'
            + (f" &mdash; &#9888; {failures} non-zero exit(s)"
               if failures else ", all rc=0 or unrecorded") + "</p>",
            "<table><tr><th>command</th><th>entries</th></tr>"]
@@ -308,8 +300,7 @@ def build_dashboard(store: Warehouse, title: str = "repro dashboard") -> str:
         body += _program_section(store, newest)
     else:
         body.append('<p class="sub">No bench runs ingested yet — run '
-                    '<code>repro bench</code> then '
-                    '<code>repro warehouse ingest</code>.</p>')
+                    '<code>repro bench</code>.</p>')
     body += _ledger_section(store)
     return ("<!doctype html>\n<html lang=\"en\"><head>"
             "<meta charset=\"utf-8\">"

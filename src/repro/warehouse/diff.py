@@ -156,10 +156,11 @@ def diff_runs(store: Warehouse, run_a: RunInfo, run_b: RunInfo,
     cells_a = store.work_cells(run_a.id)
     cells_b = store.work_cells(run_b.id)
     if not (cells_a and cells_b):
-        # Only one side carries an attribution matrix (e.g. a fresh
-        # warehouse where just the newest snapshot has cells): pairwise
-        # cell deltas would all be meaningless 0 -> X rows, so skip
-        # them and let the summary-counter section carry the story.
+        # Only one side carries an attribution matrix (e.g. a run only
+        # ingested from the trajectory, which holds no cells, against
+        # one `repro bench` recorded): pairwise cell deltas would all be
+        # meaningless 0 -> X rows, so skip them and let the
+        # summary-counter section carry the story.
         cells_a = cells_b = {}
     cell_rows: list[tuple[str, str, str, str, str, int, int, int]] = []
     pass_totals: dict[str, tuple[int, int]] = {}

@@ -1,11 +1,17 @@
-"""Ingest: load bench trajectories, profile artifacts and the run
-ledger into the warehouse.
+"""Ingest and record: how runs get into the warehouse.
 
-Every ingestor is **idempotent**: facts are keyed by their natural key
-(run identity + metric name, or a content hash for ledger lines) and
-written with ``INSERT OR REPLACE``, so ingesting the same file twice
-leaves the store byte-for-byte identical.  That property is what lets
-CI re-ingest on every push without bookkeeping.
+Commands that produce a run write it straight into the store:
+:func:`record_bench` for ``repro bench`` and :func:`record_profile` for
+``repro profile`` (ledger entries go through
+:meth:`Warehouse.put_ledger_entry`).  The one file the warehouse
+ingests is the tracked trajectory, ``BENCH_translate.json``, which
+travels with git.
+
+Ingest is **idempotent**: facts are keyed by their natural key (run
+identity + metric name) and written with ``INSERT OR REPLACE``, so
+ingesting the same file twice leaves the store byte-for-byte
+identical.  That property is what lets every ``repro diff`` / ``dash``
+re-ingest the trajectory without bookkeeping.
 
 What maps to what:
 
@@ -13,20 +19,20 @@ What maps to what:
   ``bench`` run with per-config summary metrics (scalars plus flattened
   ``work.<counter>`` totals) and the deterministic ``work_digest``;
 * the file's current snapshot (``programs`` / ``loader`` sections)
-  attaches to the *newest* trajectory entry — per-program metrics,
-  nested ``racecheck.*`` / ``provenance.*`` scalars, and the full
-  stage×counter×function ``work_cells`` matrix (bench schema v8; older
-  snapshots fall back to per-counter totals with an empty stage);
-* a ``repro profile --json`` artifact becomes one ``profile`` run with
-  its work cells and collapsed-stack samples (flamegraph diffs);
-* each ledger line is stored under the sha256 of its canonical JSON.
+  attaches to the *newest* trajectory entry as per-program metrics,
+  with nested ``racecheck.*`` / ``provenance.*`` scalars flattened;
+* the stage×counter×function ``work_cells`` matrix is not in the file
+  (bench schema v10): :func:`record_bench` stores the run's cells from
+  the in-memory report, on the run re-ingesting the file yields;
+* a ``repro profile`` run stores its work cells, counter totals, digest
+  and collapsed-stack samples (flamegraph diffs).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Union
 
@@ -39,90 +45,40 @@ _NESTED_PROGRAM_KEYS = ("racecheck", "provenance")
 
 
 def _num(value: object) -> Optional[float]:
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    return None
+    return float(value) if isinstance(value, (int, float)) else None
 
 
-def _put_scalar_metrics(store: Warehouse, run_id: int, config: str,
-                        row: dict) -> int:
-    """Store every numeric scalar of ``row`` (flattening ``work`` totals
-    to ``work.<counter>``); returns the number of metrics written."""
-    written = 0
+def _scalars(row: dict, nested: tuple[str, ...] = ()):
+    """(metric, value) for every numeric scalar of ``row``, flattening
+    ``work`` totals to ``work.<counter>`` and each ``nested`` dict to
+    ``<key>.<sub>``."""
     for key in sorted(row):
         value = row[key]
-        if key == "work" and isinstance(value, dict):
-            for counter in sorted(value):
-                n = _num(value[counter])
-                if n is not None:
-                    store.put_summary_metric(
-                        run_id, config, f"work.{counter}", n)
-                    written += 1
-            continue
-        n = _num(value)
-        if n is not None:
-            store.put_summary_metric(run_id, config, key, n)
-            written += 1
-    return written
-
-
-def _put_program_row(store: Warehouse, run_id: int, config: str,
-                     program: str, row: dict) -> int:
-    """One bench ``programs[program][config]`` (or loader) row."""
-    written = 0
-    for key in sorted(row):
-        value = row[key]
-        if key in _NESTED_PROGRAM_KEYS and isinstance(value, dict):
+        if isinstance(value, dict) and (key == "work" or key in nested):
             for sub in sorted(value):
                 n = _num(value[sub])
                 if n is not None:
-                    store.put_program_metric(
-                        run_id, config, program, f"{key}.{sub}", n)
-                    written += 1
-            continue
-        if key == "work" and isinstance(value, dict):
-            for counter in sorted(value):
-                n = _num(value[counter])
-                if n is not None:
-                    store.put_program_metric(
-                        run_id, config, program, f"work.{counter}", n)
-                    written += 1
-            continue
-        if key == "work_digest" and isinstance(value, str):
-            continue  # digests live in summary_digests, per config
-        if key == "work_cells" and isinstance(value, list):
-            for cell in value:
-                if isinstance(cell, (list, tuple)) and len(cell) == 4:
-                    stage, counter, function, count = cell
-                    store.put_work_cell(run_id, config, program,
-                                        str(stage), str(counter),
-                                        str(function), int(count))
+                    yield f"{key}.{sub}", n
             continue
         n = _num(value)
         if n is not None:
-            store.put_program_metric(run_id, config, program, key, n)
-            written += 1
-    # Pre-v8 rows carry only per-counter totals: keep them comparable by
-    # storing stage=''/function='' cells so cell diffs degrade gracefully.
-    if "work_cells" not in row and isinstance(row.get("work"), dict):
-        for counter in sorted(row["work"]):
-            n = _num(row["work"][counter])
-            if n is not None:
-                store.put_work_cell(run_id, config, program, "", counter,
-                                    "", int(n))
-    return written
+            yield key, n
 
 
-def ingest_bench(store: Warehouse, path: _PathLike) -> dict:
-    """Ingest ``BENCH_translate.json``; returns a count summary."""
+def _put_program_row(store: Warehouse, run_id: int, config: str,
+                     program: str, row: dict) -> None:
+    """One bench ``programs[program][config]`` (or loader) row."""
+    for metric, n in _scalars(row, _NESTED_PROGRAM_KEYS):
+        store.put_program_metric(run_id, config, program, metric, n)
+
+
+def ingest_bench(store: Warehouse, path: _PathLike) -> Optional[int]:
+    """Ingest ``BENCH_translate.json``; returns the id of its newest
+    run (the one the snapshot attaches to), None for no trajectory."""
     path = Path(path)
     data = json.loads(path.read_text())
     source = path.name
     trajectory = data.get("trajectory") or []
-    counts = {"runs": 0, "summary_metrics": 0, "program_metrics": 0,
-              "work_cells": 0}
 
     newest_run_id: Optional[int] = None
     newest_key: tuple = ()
@@ -135,13 +91,12 @@ def ingest_bench(store: Warehouse, path: _PathLike) -> dict:
         run_id = store.upsert_run(
             "bench", sha, dirty, timestamp, size,
             int(version) if version is not None else None, source)
-        counts["runs"] += 1
         for config in sorted(entry.get("summary") or {}):
             row = entry["summary"][config]
             if not isinstance(row, dict):
                 continue
-            counts["summary_metrics"] += _put_scalar_metrics(
-                store, run_id, config, row)
+            for metric, n in _scalars(row):
+                store.put_summary_metric(run_id, config, metric, n)
             digest = row.get("work_digest")
             if isinstance(digest, str) and digest:
                 store.put_digest(run_id, config, digest)
@@ -159,127 +114,65 @@ def ingest_bench(store: Warehouse, path: _PathLike) -> dict:
             for config in sorted(configs):
                 row = configs[config]
                 if isinstance(row, dict):
-                    counts["program_metrics"] += _put_program_row(
-                        store, newest_run_id, config, program, row)
+                    _put_program_row(store, newest_run_id, config, program,
+                                     row)
         for program in sorted(data.get("loader") or {}):
             row = data["loader"][program]
             if isinstance(row, dict):
-                counts["program_metrics"] += _put_program_row(
-                    store, newest_run_id, "loader", program, row)
-        counts["work_cells"] = len(store.work_cells(newest_run_id))
+                _put_program_row(store, newest_run_id, "loader", program,
+                                 row)
     store.commit()
-    return counts
+    return newest_run_id
 
 
-def _parse_collapsed(collapsed: object) -> dict[str, int]:
-    """Collapsed stacks from either form the profiler emits: the
-    flamegraph.pl text (``"a;b 42"`` lines, :meth:`Profile.collapsed`)
-    or an already-aggregated ``{stack: samples}`` mapping."""
-    out: dict[str, int] = {}
-    if isinstance(collapsed, dict):
-        for stack, n in collapsed.items():
-            value = _num(n)
-            if value is not None:
-                out[str(stack)] = int(value)
-        return out
-    if isinstance(collapsed, str):
-        for line in collapsed.splitlines():
-            stack, _, count = line.rpartition(" ")
-            if stack and count.isdigit():
-                out[stack] = out.get(stack, 0) + int(count)
-    return out
+def _put_cells(store: Warehouse, run_id: int, config: str, program: str,
+               cells) -> None:
+    for stage, counter, function, count in cells:
+        store.put_work_cell(run_id, config, program, stage, counter,
+                            function, count)
 
 
-def ingest_profile(store: Warehouse, path: _PathLike) -> dict:
-    """Ingest one ``repro profile --json`` artifact."""
-    path = Path(path)
-    data = json.loads(path.read_text())
-    sha = str(data.get("sha", "unknown"))
-    dirty = bool(data.get("dirty", False))
-    program = str(data.get("source", path.stem))
-    config = str(data.get("config", ""))
-    run_id = store.upsert_run("profile", sha, dirty, "",
-                              "", None, path.name)
-    work = data.get("work") or {}
-    for cell in work.get("cells") or []:
-        if isinstance(cell, (list, tuple)) and len(cell) == 4:
-            stage, counter, function, count = cell
-            store.put_work_cell(run_id, config, program, str(stage),
-                                str(counter), str(function), int(count))
-    for counter, total in sorted((work.get("counters") or {}).items()):
-        n = _num(total)
-        if n is not None:
-            store.put_summary_metric(run_id, config, f"work.{counter}", n)
-    digest = work.get("digest")
-    if isinstance(digest, str) and digest:
-        store.put_digest(run_id, config, digest)
-    for stack, samples in sorted(_parse_collapsed(
-            data.get("collapsed")).items()):
-        store.put_stack(run_id, stack, samples)
-    for key in ("builds",):
-        n = _num(data.get(key))
-        if n is not None:
-            store.put_summary_metric(run_id, config, key, n)
-    profile = data.get("profile")
-    if isinstance(profile, dict):
-        for key in ("total", "duration", "hz"):
-            n = _num(profile.get(key))
-            if n is not None:
-                store.put_summary_metric(run_id, config,
-                                         f"profile.{key}", n)
-    store.commit()
-    return {"runs": 1, "work_cells": len(store.work_cells(run_id)),
-            "stacks": len(store.stacks(run_id))}
+def record_bench(store: Warehouse, report: dict, path: _PathLike) -> None:
+    """Record one ``repro bench`` run: ingest the file ``write_bench``
+    just wrote (this run is its newest entry), then store the run's
+    work cells from the in-memory ``report``."""
+    run_id = ingest_bench(store, path)
+    for program, configs in sorted(report.get("programs", {}).items()):
+        for config, row in sorted(configs.items()):
+            _put_cells(store, run_id, config, program,
+                       row.get("work_cells", ()))
+    for program, row in sorted(report.get("loader", {}).items()):
+        _put_cells(store, run_id, "loader", program,
+                   row.get("work_cells", ()))
 
 
-def ingest_ledger(store: Warehouse, root: _PathLike = ".") -> dict:
-    """Ingest every well-formed line of ``.repro/ledger.jsonl`` (and its
-    rotated generation), keyed by content hash."""
-    from ..profiler.ledger import read_ledger
+def record_profile(store: Warehouse, report) -> int:
+    """Record one ``repro profile`` run (a
+    :class:`repro.profiler.AttributionReport`): work cells, counter
+    totals and digest, collapsed-stack samples, build count and sampler
+    totals.  Returns the run id."""
+    from ..telemetry.bench import git_dirty, git_sha
 
-    entries = read_ledger(root)
-    for entry in entries:
-        canonical = json.dumps(entry, sort_keys=True,
-                               separators=(",", ":"))
-        entry_hash = hashlib.sha256(canonical.encode()).hexdigest()
-        rc = entry.get("rc")
-        store.put_ledger_entry(
-            entry_hash,
-            str(entry.get("sha", "unknown")),
-            bool(entry.get("dirty", False)),
-            str(entry.get("timestamp", "")),
-            str(entry.get("command", "")),
-            entry.get("schema"),
-            entry.get("config_digest"),
-            int(rc) if isinstance(rc, (int, bool)) else None,
-            canonical)
-    store.commit()
-    return {"ledger_entries": len(entries)}
-
-
-def ingest_all(store: Warehouse, root: _PathLike = ".",
-               bench: str = "BENCH_translate.json") -> dict:
-    """Ingest everything discoverable under ``root``: the bench
-    trajectory file (when present), the run ledger, and any
-    ``*.profile.json`` artifacts in ``root``."""
-    root = Path(root)
-    counts: dict[str, int] = {}
-
-    def _merge(sub: dict) -> None:
-        for key, value in sub.items():
-            counts[key] = counts.get(key, 0) + value
-
-    bench_path = root / bench
-    if bench_path.exists():
-        _merge(ingest_bench(store, bench_path))
-    _merge(ingest_ledger(store, root))
-    for artifact in sorted(root.glob("*.profile.json")):
-        try:
-            _merge(ingest_profile(store, artifact))
-        except (json.JSONDecodeError, OSError, ValueError):
-            continue
-    return counts
+    config, program = report.config, report.source
+    run_id = store.upsert_run(
+        "profile", git_sha(), git_dirty(),
+        datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        source=program)
+    wc = report.counters
+    _put_cells(store, run_id, config, program, wc.cells())
+    for counter, total in wc.by_counter().items():
+        store.put_summary_metric(run_id, config, f"work.{counter}", total)
+    store.put_digest(run_id, config, wc.digest())
+    prof = report.profile
+    for stack, samples in prof.samples.items():
+        store.put_stack(run_id, ";".join(stack), samples)
+    store.put_summary_metric(run_id, config, "builds", report.builds)
+    for key, value in (("total", prof.total), ("duration", prof.duration),
+                       ("hz", prof.hz)):
+        store.put_summary_metric(run_id, config, f"profile.{key}", value)
+    return run_id
 
 
-__all__ = ["ingest_all", "ingest_bench", "ingest_ledger",
-           "ingest_profile"]
+__all__ = ["ingest_bench", "record_bench", "record_profile"]
+
+

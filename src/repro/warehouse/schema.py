@@ -14,8 +14,8 @@ Design notes:
   no-op (idempotence is a tested contract, not a hope).
 * **A run is the unit of comparison.**  One row in ``runs`` per
   recorded observation of the translator at a commit: a bench
-  trajectory entry, a profile artifact, a trace artifact.  Ledger lines
-  are activity records, not comparable runs, so they live in their own
+  trajectory entry or a profile run.  Ledger entries are activity
+  records, not comparable runs, so they live in their own
   content-hash-keyed table.
 * **Narrow fact tables, one value per row** (``metric`` / ``value``),
   rather than wide ones: schema evolution in this repo has been a new
@@ -119,6 +119,10 @@ CREATE INDEX IF NOT EXISTS idx_work_cells_run
 MIGRATIONS: tuple[str, ...] = (_V1_DDL, _V2_DDL)
 
 
+class SchemaTooNew(RuntimeError):
+    """The database was migrated by a newer build than this one."""
+
+
 def schema_version(conn: sqlite3.Connection) -> int:
     return int(conn.execute("PRAGMA user_version").fetchone()[0])
 
@@ -129,7 +133,7 @@ def migrate(conn: sqlite3.Connection) -> int:
     applied = 0
     version = schema_version(conn)
     if version > SCHEMA_VERSION:
-        raise RuntimeError(
+        raise SchemaTooNew(
             f"warehouse schema v{version} is newer than this build "
             f"(v{SCHEMA_VERSION}); refusing to touch it")
     while version < SCHEMA_VERSION:

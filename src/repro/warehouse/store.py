@@ -2,8 +2,9 @@
 
 One :class:`Warehouse` owns one connection (``:memory:`` or an on-disk
 file, default ``.repro/warehouse.sqlite``), migrates it to the current
-schema on open, and exposes the small upsert/query surface the ingest
-layer, ``repro diff`` and ``repro dash`` are built on.
+schema on open, and exposes the small upsert/query surface that run
+recording, the trajectory ingest, ``repro diff``, ``repro dash`` and
+``repro ledger`` are built on.
 
 Run ordering is deterministic: ``(timestamp, sha, id)`` ascending, so
 "latest" / "prev" selectors and every rendered report are reproducible
@@ -12,6 +13,8 @@ for identical inputs regardless of ingest order.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import sqlite3
 from dataclasses import dataclass
@@ -20,13 +23,13 @@ from typing import Optional, Union
 
 from .schema import SCHEMA_VERSION, migrate, schema_version
 
-#: Default on-disk location, next to the run ledger.
+#: Default on-disk location: the one run store.
 DEFAULT_DB = ".repro/warehouse.sqlite"
 
 
 @dataclass(frozen=True)
 class RunInfo:
-    """One comparable run (a bench trajectory entry or profile artifact)."""
+    """One comparable run (a bench trajectory entry or a profile run)."""
 
     id: int
     kind: str
@@ -119,15 +122,29 @@ class Warehouse:
             "INSERT OR REPLACE INTO stacks VALUES (?,?,?)",
             (run_id, stack, int(samples)))
 
-    def put_ledger_entry(self, entry_hash: str, sha: str, dirty: bool,
-                         timestamp: str, command: str,
-                         entry_schema: Optional[int],
-                         config_digest: Optional[str],
-                         rc: Optional[int], data: str) -> None:
+    def put_ledger_entry(self, entry: dict) -> None:
+        """One ledger entry, keyed by the sha256 of its canonical JSON
+        (recording the same entry twice leaves one row)."""
+        canonical = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        rc = entry.get("rc")
         self.conn.execute(
             "INSERT OR REPLACE INTO ledger_entries VALUES (?,?,?,?,?,?,?,?,?)",
-            (entry_hash, sha, int(bool(dirty)), timestamp, command,
-             entry_schema, config_digest, rc, data))
+            (hashlib.sha256(canonical.encode()).hexdigest(),
+             str(entry.get("sha", "unknown")),
+             int(bool(entry.get("dirty", False))),
+             str(entry.get("timestamp", "")), str(entry.get("command", "")),
+             entry.get("schema"), entry.get("config_digest"),
+             int(rc) if isinstance(rc, (int, bool)) else None, canonical))
+
+    def gc_ledger(self, keep: int) -> int:
+        """Delete all but the newest ``keep`` ledger entries; returns
+        the number deleted."""
+        cur = self.conn.execute(
+            "DELETE FROM ledger_entries WHERE entry_hash NOT IN ("
+            "SELECT entry_hash FROM ledger_entries "
+            "ORDER BY timestamp DESC, rowid DESC LIMIT ?)", (keep,))
+        self.conn.commit()
+        return cur.rowcount
 
     def commit(self) -> None:
         self.conn.commit()
@@ -226,11 +243,31 @@ class Warehouse:
             (run_id,))}
 
     def ledger_entries(self) -> list[dict]:
-        import json
+        """Every well-formed ledger entry, oldest first — insertion order
+        within one timestamp second (rows whose data is not a JSON object
+        are skipped)."""
+        out = []
+        for (data,) in self.conn.execute(
+                "SELECT data FROM ledger_entries "
+                "ORDER BY timestamp, rowid"):
+            try:
+                entry = json.loads(data)
+            except (TypeError, json.JSONDecodeError):
+                continue
+            if isinstance(entry, dict):
+                out.append(entry)
+        return out
 
-        return [json.loads(row[0]) for row in self.conn.execute(
-            "SELECT data FROM ledger_entries "
-            "ORDER BY timestamp, command, entry_hash")]
+    def ledger_summary(self) -> tuple[int, int, dict[str, int]]:
+        """(entries, non-zero exits, command -> entries) over the
+        ledger — ``repro ledger`` and the dashboard both print it."""
+        by_command = {command: int(n) for command, n in self.conn.execute(
+            "SELECT command, COUNT(*) FROM ledger_entries "
+            "GROUP BY command ORDER BY command")}
+        failures = self.conn.execute(
+            "SELECT COUNT(*) FROM ledger_entries "
+            "WHERE rc IS NOT NULL AND rc != 0").fetchone()[0]
+        return sum(by_command.values()), int(failures), by_command
 
     def counts(self) -> dict[str, int]:
         """Row counts per table — the idempotence test's measuring stick."""

@@ -137,9 +137,3 @@ class X86Object:
         sym = self.functions[name]
         start = sym.address - self.text_base
         return self.text[start : start + sym.size]
-
-    def data_end(self) -> int:
-        end = DATA_BASE
-        for sym in self.data_symbols.values():
-            end = max(end, sym.address + sym.size)
-        return end

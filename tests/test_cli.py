@@ -51,6 +51,41 @@ class TestTranslateCommand:
             assert main(["translate", demo_file, "--config", config]) == 0
 
 
+class TestRunRecording:
+    """``repro translate`` records its ledger entry in the run store,
+    ``.repro/warehouse.sqlite`` under the working directory."""
+
+    def test_translate_lands_one_ledger_row(self, demo_file, tmp_path,
+                                            monkeypatch):
+        from repro.warehouse import DEFAULT_DB, Warehouse
+
+        monkeypatch.delenv("REPRO_LEDGER")
+        monkeypatch.chdir(tmp_path)
+        assert main(["translate", demo_file, "--config", "opt"]) == 0
+        with Warehouse(tmp_path / DEFAULT_DB) as store:
+            entry, = store.ledger_entries()
+        assert entry["command"] == "translate"
+        assert entry["config"] == "opt" and entry["rc"] == 0
+        assert entry["work_digest"]
+        assert sorted(p.name for p in (tmp_path / ".repro").iterdir()) \
+            == ["warehouse.sqlite"]
+
+    def test_disabled_recording_writes_nothing(self, demo_file, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setenv("REPRO_LEDGER", "0")
+        monkeypatch.chdir(tmp_path)
+        assert main(["translate", demo_file]) == 0
+        assert not (tmp_path / ".repro").exists()
+
+    def test_unwritable_store_still_exits_0(self, demo_file, tmp_path,
+                                            monkeypatch):
+        monkeypatch.delenv("REPRO_LEDGER")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / ".repro").write_text("a plain file, not a directory")
+        assert main(["translate", demo_file]) == 0
+        assert (tmp_path / ".repro").is_file()
+
+
 PRINTING = """
 int main() {
   print_i(1); print_i(2); print_i(3);
@@ -345,9 +380,14 @@ class TestDelaySetCli:
 
 
 class TestBenchCommand:
-    def test_bench_writes_baseline(self, tmp_path, capsys):
+    def test_bench_writes_baseline(self, tmp_path, capsys, monkeypatch):
         import json
 
+        from repro.warehouse import DEFAULT_DB, Warehouse
+
+        # Record into tmp_path's run store (the suite disables recording).
+        monkeypatch.delenv("REPRO_LEDGER")
+        monkeypatch.chdir(tmp_path)
         out_path = tmp_path / "BENCH_translate.json"
         rc = main(["bench", "--size", "tiny", "--repeats", "1",
                    "--out", str(out_path)])
@@ -355,7 +395,7 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert f"baseline written to {out_path}" in out
         report = json.loads(out_path.read_text())
-        assert report["version"] == 9
+        assert report["version"] == 10
         assert set(report["summary"]) == \
             {"native", "lifted", "opt", "popt", "ppopt", "loader"}
         lifted = report["summary"]["lifted"]
@@ -375,10 +415,27 @@ class TestBenchCommand:
         assert lifted["peak_rss_bytes"] > 0
         assert report["summary"]["loader"]["work"]["triage.instructions"] > 0
         assert report["profile_top"]["samples"] >= 0
-        # v8: every row carries the stage x counter x function matrix.
-        prog_row = next(iter(report["programs"].values()))["lifted"]
-        assert prog_row["work_cells"]
-        assert all(len(cell) == 4 for cell in prog_row["work_cells"])
+        # v10: the stage x counter x function matrix of every row is
+        # in the warehouse, on the run the file's newest entry yields;
+        # the written file keeps only totals and digests.
+        program, configs = next(iter(report["programs"].items()))
+        prog_row = configs["lifted"]
+        assert all("work_cells" not in row
+                   for rows in report["programs"].values()
+                   for row in rows.values())
+        assert all("work_cells" not in row
+                   for row in report["loader"].values())
+        with Warehouse(tmp_path / DEFAULT_DB) as store:
+            run, = store.runs("bench")
+            assert run.source == out_path.name and run.version == 10
+            cells = store.work_cells(run.id)
+            assert store.ledger_summary()[2] == {"bench": 1}
+        assert any(key[:2] == ("lifted", program) for key in cells)
+        assert any(key[0] == "loader" for key in cells)
+        lifted_accesses = sum(n for key, n in cells.items()
+                            if key[:2] == ("lifted", program)
+                            and key[3] == "place.accesses")
+        assert lifted_accesses == prog_row["work"]["place.accesses"]
         # v9: tv verdict counts per row — vacuous for lifted (no passes
         # run), live for every optimizing config.
         assert prog_row["tv_proved"] == prog_row["tv_refuted"] == 0
@@ -389,7 +446,7 @@ class TestBenchCommand:
         assert len(report["trajectory"]) == 1
         entry = report["trajectory"][0]
         assert "dirty" in entry
-        assert entry["version"] == 9
+        assert entry["version"] == 10
 
 
 def test_evaluate_command_smoke(capsys):

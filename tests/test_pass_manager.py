@@ -88,3 +88,27 @@ class TestCoreDriver:
         assert built.arm_instructions > 0
         assert built.lir_instructions > 0
         assert built.pointer_casts_before >= built.pointer_casts_after
+
+    @pytest.mark.parametrize("config", ["popt", "ppopt"])
+    def test_pass_stats_cover_the_merge_stage_run(self, config, monkeypatch):
+        """The post-merge dce run is part of pass_stats: its iterations
+        continue the O2 numbering, so the stats agree with the
+        opt.iterations work counter and with every pass invocation."""
+        from repro.profiler import workcounters
+
+        calls = []
+        run_pass = PassManager.run_pass
+
+        def counting(self, module, name, iteration=0):
+            calls.append(name)
+            return run_pass(self, module, name, iteration)
+
+        monkeypatch.setattr(PassManager, "run_pass", counting)
+        source = ("int g = 0; int h = 0;\n"
+                  "int main() { g = 1; h = 2; return g + h; }")
+        with workcounters.collect() as wc:
+            built = Lasagne().build(source, config)
+        stats = built.pass_stats
+        assert stats.iterations == wc.by_counter()["opt.iterations"]
+        assert len(stats.records) == len(calls)
+        assert stats.records[-1].name == "dce"

@@ -17,7 +17,8 @@ from repro.profiler import (
     stage_of,
     workcounters,
 )
-from repro.profiler.ledger import append_entry, ledger_path, read_ledger
+from repro.profiler.ledger import append_entry
+from repro.warehouse import DEFAULT_DB, Warehouse
 from repro.profiler.memory import account, measure_peak
 from repro.profiler.sampler import Profile, extract_stack
 
@@ -369,37 +370,70 @@ class TestRegressionGate:
         assert not report.ok
 
 
+def _ledger(root):
+    with Warehouse(root / DEFAULT_DB) as store:
+        return store.ledger_entries()
+
+
 class TestLedger:
     @pytest.fixture(autouse=True)
     def _ledger_enabled(self, monkeypatch):
-        # The suite itself may run under REPRO_LEDGER=0 (so its CLI
-        # invocations don't pollute the repo ledger); these tests write
-        # to tmp_path and need the switch back on.
+        # The suite runs under REPRO_LEDGER=0 (tests/conftest.py) so its
+        # CLI invocations record nothing; these tests record into
+        # tmp_path and need the switch back on.
         monkeypatch.delenv("REPRO_LEDGER", raising=False)
 
     def test_append_and_read(self, tmp_path):
         path = append_entry("translate", {"config": "ppopt", "rc": 0},
                             root=tmp_path)
-        assert path == ledger_path(tmp_path)
+        assert path == tmp_path / DEFAULT_DB
         append_entry("bench", {"size": "tiny"}, root=tmp_path)
-        entries = read_ledger(tmp_path)
+        entries = _ledger(tmp_path)
         assert [e["command"] for e in entries] == ["translate", "bench"]
         assert entries[0]["config"] == "ppopt"
         for entry in entries:
             assert "timestamp" in entry and "sha" in entry
             assert isinstance(entry["dirty"], bool)
 
+    def test_same_second_entries_keep_insertion_order(self, tmp_path):
+        """Timestamps have one-second resolution: ties are broken by
+        insertion order, for reading and for ``gc`` alike."""
+        with Warehouse(tmp_path / DEFAULT_DB) as store:
+            for command in ("z-older", "a-newer"):
+                store.put_ledger_entry({"timestamp": "2026-01-01T00:00:00",
+                                        "command": command})
+            store.commit()
+            assert [e["command"] for e in store.ledger_entries()] == [
+                "z-older", "a-newer"]
+            assert store.gc_ledger(keep=1) == 1
+            assert [e["command"] for e in store.ledger_entries()] == [
+                "a-newer"]
+
     def test_disabled_by_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", "0")
         assert append_entry("x", {}, root=tmp_path) is None
-        assert read_ledger(tmp_path) == []
+        assert not (tmp_path / ".repro").exists()
+
+    def test_store_of_a_newer_schema_is_left_alone(self, tmp_path):
+        import sqlite3
+
+        from repro.warehouse import SCHEMA_VERSION
+
+        db = tmp_path / DEFAULT_DB
+        db.parent.mkdir()
+        conn = sqlite3.connect(db)
+        conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION + 1}")
+        conn.close()
+        assert append_entry("translate", {}, root=tmp_path) is None
 
     def test_bad_lines_skipped(self, tmp_path):
         append_entry("ok", {}, root=tmp_path)
-        with ledger_path(tmp_path).open("a") as fh:
-            fh.write("not json\n[1,2]\n")
-        entries = read_ledger(tmp_path)
-        assert [e["command"] for e in entries] == ["ok"]
+        with Warehouse(tmp_path / DEFAULT_DB) as store:
+            store.conn.execute(
+                "INSERT INTO ledger_entries (entry_hash, data) "
+                "VALUES ('a', 'not json'), ('b', '[1,2]')")
+            store.commit()
+        assert [e["command"] for e in _ledger(tmp_path)] == ["ok"]
 
 
 class TestBenchTrajectory:
@@ -451,11 +485,9 @@ class TestBenchTrajectory:
 
 
 class TestProfileCli:
-    def test_profile_command_end_to_end(self, tmp_path, monkeypatch,
-                                        capsys):
+    def test_profile_command_end_to_end(self, tmp_path, capsys):
         from repro.cli import main
 
-        monkeypatch.setenv("REPRO_LEDGER", "0")
         src = tmp_path / "p.c"
         src.write_text(DEMO)
         flame = tmp_path / "flame.txt"
@@ -476,18 +508,36 @@ class TestProfileCli:
         assert doc["work"]
 
     def test_profile_writes_ledger(self, tmp_path, monkeypatch):
+        """The run and its ledger entry land in the warehouse directly:
+        no ``--json`` artifact is written, and nothing is ingested from
+        one."""
         from repro.cli import main
 
         monkeypatch.delenv("REPRO_LEDGER", raising=False)
         monkeypatch.chdir(tmp_path)
         src = tmp_path / "p.c"
         src.write_text(DEMO)
-        rc = main(["profile", str(src), "--min-seconds", "0.05",
-                   "--config", "opt"])
+        rc = main(["profile", str(src), "--min-seconds", "0.2",
+                   "--sample-hz", "499", "--config", "opt"])
         assert rc == 0
-        entries = read_ledger(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".repro",
+                                                              "p.c"]
+        entries = _ledger(tmp_path)
         assert [e["command"] for e in entries] == ["profile"]
         assert entries[0]["work_digest"]
+        with Warehouse(tmp_path / DEFAULT_DB) as store:
+            run, = store.runs("profile")
+            assert run.source == str(src) and run.timestamp
+            cells = store.work_cells(run.id)
+            stacks = store.stacks(run.id)
+            summary = store.summary(run.id)["opt"]
+            digest = store.digests(run.id)["opt"]
+        assert cells and all(key[:2] == ("opt", str(src)) for key in cells)
+        assert stacks and summary["profile.total"] == sum(stacks.values())
+        assert summary["builds"] >= 1
+        assert summary["work.opt.visits"] == sum(
+            n for key, n in cells.items() if key[3] == "opt.visits")
+        assert digest == entries[0]["work_digest"]
 
 
 class TestBenchCompareCli:
@@ -519,7 +569,6 @@ class TestBenchCompareCli:
         import repro.cli as cli
         from repro.telemetry import bench
 
-        monkeypatch.setenv("REPRO_LEDGER", "0")
         out = tmp_path / "B.json"
         self._seed_trajectory(out, self._fake_summary(1.0))
         # A 3x slowdown (and 3x work blowup) over the baseline.
@@ -533,7 +582,6 @@ class TestBenchCompareCli:
         import repro.cli as cli
         from repro.telemetry import bench
 
-        monkeypatch.setenv("REPRO_LEDGER", "0")
         out = tmp_path / "B.json"
         self._seed_trajectory(out, self._fake_summary(1.0))
         monkeypatch.setattr(bench, "run_bench",
@@ -546,7 +594,6 @@ class TestBenchCompareCli:
         import repro.cli as cli
         from repro.telemetry import bench
 
-        monkeypatch.setenv("REPRO_LEDGER", "0")
         out = tmp_path / "B.json"
         monkeypatch.setattr(bench, "run_bench",
                             lambda **kw: self._fake_report(1.0))
@@ -558,7 +605,7 @@ class TestBenchCompareCli:
 
 
 class TestLedgerHardening:
-    """Schema v2 hardening: version/digest stamps, rotation, gc."""
+    """Schema v2 hardening: version and config-digest stamps."""
 
     @pytest.fixture(autouse=True)
     def _ledger_enabled(self, monkeypatch):
@@ -569,7 +616,7 @@ class TestLedgerHardening:
 
         append_entry("translate", {"rc": 0}, root=tmp_path,
                      config={"source": "a.c", "config": "ppopt"})
-        entry, = read_ledger(tmp_path)
+        entry, = _ledger(tmp_path)
         assert entry["schema"] == LEDGER_SCHEMA
         assert entry["config_digest"] == config_digest(
             {"source": "a.c", "config": "ppopt"})
@@ -581,35 +628,6 @@ class TestLedgerHardening:
             config_digest({"b": 2, "a": 1})
         assert config_digest({"a": 1}) != config_digest({"a": 2})
         assert len(config_digest(None)) == 16
-
-    def test_rotation_keeps_one_generation(self, tmp_path, monkeypatch):
-        from repro.profiler.ledger import rotated_path
-
-        monkeypatch.setenv("REPRO_LEDGER_MAX_BYTES", "300")
-        for i in range(8):
-            append_entry("translate", {"i": i}, root=tmp_path)
-        assert rotated_path(tmp_path).exists()
-        # both generations read back, oldest first, nothing duplicated
-        entries = read_ledger(tmp_path)
-        indices = [e["i"] for e in entries]
-        assert indices == sorted(indices)
-        assert len(indices) == len(set(indices))
-        # live file stays under the cap (plus at most one entry)
-        assert ledger_path(tmp_path).stat().st_size <= 600
-
-    def test_gc_drops_rotation_and_truncates(self, tmp_path, monkeypatch):
-        from repro.profiler.ledger import gc_ledger, rotated_path
-
-        monkeypatch.setenv("REPRO_LEDGER_MAX_BYTES", "300")
-        for i in range(8):
-            append_entry("translate", {"i": i}, root=tmp_path)
-        assert rotated_path(tmp_path).exists()
-        summary = gc_ledger(tmp_path, keep=2)
-        assert not rotated_path(tmp_path).exists()
-        assert summary["entries_after"] == 2
-        assert summary["bytes_reclaimed"] > 0
-        entries = read_ledger(tmp_path)
-        assert [e["command"] for e in entries] == ["translate"] * 2
 
 
 class TestWorkCounterCells:

@@ -247,7 +247,7 @@ class TestBenchEmitter:
         from repro.telemetry.bench import run_bench, write_bench
 
         report = run_bench(size="tiny", configs=["ppopt"], repeats=1)
-        assert report["version"] == 9
+        assert report["version"] == 10
         assert report["configs"] == ["ppopt"]
         assert "demo" in report["programs"]
         for name, per_config in report["programs"].items():
@@ -284,7 +284,8 @@ class TestBenchEmitter:
         assert locked["fences_elided_sync"] > 0
         assert locked["racecheck"]["lock_protected"] > 0
         assert summary["fences_elided_sync_total"] > 0
-        # v8: every row carries the attribution matrix behind its totals.
+        # v8: every in-memory row carries the attribution matrix behind
+        # its totals (v10: the written file does not, see below).
         assert demo["work_cells"]
         assert all(len(cell) == 4 for cell in demo["work_cells"])
         assert summary["racecheck_lock_protected_total"] > 0
@@ -310,3 +311,6 @@ class TestBenchEmitter:
         out = write_bench(report, str(tmp_path / "BENCH_translate.json"))
         data = json.loads(out.read_text())
         assert len(data["trajectory"]) == 1
+        assert "work_cells" not in data["programs"]["demo"]["ppopt"]
+        assert data["programs"]["demo"]["ppopt"]["work"] == demo["work"]
+        assert demo["work_cells"]  # writing does not touch the report

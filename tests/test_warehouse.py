@@ -14,15 +14,15 @@ from repro.warehouse import (
     build_dashboard,
     diff_runs,
     ingest_bench,
-    ingest_ledger,
-    ingest_profile,
     migrate,
+    record_bench,
+    record_profile,
     render_markdown,
     render_text,
     to_dict,
     to_json,
 )
-from repro.warehouse.schema import MIGRATIONS, schema_version
+from repro.warehouse.schema import MIGRATIONS, SchemaTooNew, schema_version
 
 
 # ---- fixtures ---------------------------------------------------------------
@@ -52,7 +52,8 @@ def _summary(scale=1.0, digest="d0"):
 
 def _bench_file(tmp_path, name="BENCH_translate.json"):
     """Two-entry trajectory (older clean, newer clean) plus a programs
-    snapshot with v8 work_cells on the newest run."""
+    snapshot for the newest run, its row still carrying v8-v9
+    ``work_cells`` (which ingest ignores)."""
     data = {
         "version": 8,
         "size": "tiny",
@@ -91,26 +92,19 @@ def _bench_file(tmp_path, name="BENCH_translate.json"):
     return path
 
 
-def _profile_artifact(tmp_path, name, sha, visits, stacks):
-    data = {
-        "source": "demo.c",
-        "config": "ppopt",
-        "builds": 2,
-        "sha": sha,
-        "dirty": False,
-        "profile": {"total": 100, "duration": 1.0, "hz": 100.0},
-        # the real artifact format: flamegraph.pl collapsed-stack text
-        "collapsed": "".join(f"{stack} {n}\n"
-                             for stack, n in sorted(stacks.items())),
-        "work": {
-            "counters": {"opt.visits": visits},
-            "cells": [["gvn", "opt.visits", "@main", visits]],
-            "digest": f"digest-{visits}",
-        },
-    }
-    path = tmp_path / name
-    path.write_text(json.dumps(data))
-    return path
+def _profile_report(visits, stacks):
+    """An AttributionReport as ``repro profile`` builds it."""
+    from repro.profiler import AttributionReport, Profile, WorkCounters
+
+    profile = Profile(hz=100.0)
+    for stack, n in stacks.items():
+        profile.samples[tuple(stack.split(";"))] = n
+    profile.total = sum(stacks.values())
+    profile.duration = 1.0
+    counters = WorkCounters()
+    counters.add("gvn", "opt.visits", "@main", visits)
+    return AttributionReport(source="demo.c", config="ppopt", builds=2,
+                             profile=profile, counters=counters)
 
 
 # ---- schema -----------------------------------------------------------------
@@ -138,7 +132,7 @@ class TestSchema:
     def test_newer_database_is_refused(self):
         conn = sqlite3.connect(":memory:")
         conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION + 1}")
-        with pytest.raises(RuntimeError, match="newer"):
+        with pytest.raises(SchemaTooNew, match="newer"):
             migrate(conn)
 
     def test_on_disk_database_reopens(self, tmp_path):
@@ -206,9 +200,6 @@ class TestIngest:
             assert row["racecheck.racy"] == 3.0
             assert row["provenance.instruction_pct"] == 100.0
             assert metrics[("loader", "sum")]["functions_discovered"] == 2.0
-            cells = store.work_cells(newest.id)
-            assert cells[("ppopt", "demo", "gvn", "opt.visits",
-                          "@main")] == 1200
 
     def test_double_ingest_is_idempotent(self, tmp_path):
         path = _bench_file(tmp_path)
@@ -218,43 +209,69 @@ class TestIngest:
             ingest_bench(store, path)
             assert store.counts() == first
 
-    def test_pre_v8_rows_fall_back_to_total_cells(self, tmp_path):
-        data = json.loads(_bench_file(tmp_path).read_text())
+    def test_file_cells_are_not_ingested(self, tmp_path):
+        """Cells come only from a recorded run: the file's rows (v10
+        slim ones, or v8-v9 rows still carrying ``work_cells``) add no
+        cells, real or fabricated from the ``work`` totals."""
+        path = _bench_file(tmp_path)
+        data = json.loads(path.read_text())
         del data["programs"]["demo"]["ppopt"]["work_cells"]
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(data))
+        slim = tmp_path / "slim.json"
+        slim.write_text(json.dumps(data))
+        for bench in (path, slim):
+            with Warehouse() as store:
+                ingest_bench(store, bench)
+                assert store.counts()["work_cells"] == 0
+
+    def test_record_bench_attaches_cells_to_the_ingested_run(self,
+                                                             tmp_path):
+        path = _bench_file(tmp_path)
+        report = {"programs": {"demo": {"ppopt": {"work_cells": [
+            ["gvn", "opt.visits", "@main", 1200]]}}},
+                  "loader": {"sum": {"work_cells": [
+                      ["triage", "triage.bytes", "", 100]]}}}
         with Warehouse() as store:
-            ingest_bench(store, path)
+            record_bench(store, report, path)
+            first = store.counts()
             newest = store.runs("bench")[-1]
             cells = store.work_cells(newest.id)
-            assert cells[("ppopt", "demo", "", "opt.visits", "")] == 2000
-
-    def test_profile_ingest(self, tmp_path):
-        path = _profile_artifact(tmp_path, "p.profile.json", "abc",
-                                 100, {"main;gvn": 10, "main;dce": 5})
-        with Warehouse() as store:
-            counts = ingest_profile(store, path)
-            assert counts == {"runs": 1, "work_cells": 1, "stacks": 2}
-            run = store.runs("profile")[0]
-            assert store.stacks(run.id) == {"main;gvn": 10, "main;dce": 5}
-            assert store.digests(run.id) == {"ppopt": "digest-100"}
-            ingest_profile(store, path)
-            assert len(store.runs("profile")) == 1
-
-    def test_ledger_ingest_is_idempotent(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_LEDGER", raising=False)
-        from repro.profiler.ledger import append_entry
-
-        append_entry("translate", {"rc": 0}, root=tmp_path)
-        append_entry("bench", {"rc": 3}, root=tmp_path)
-        with Warehouse() as store:
-            assert ingest_ledger(store, tmp_path) == {"ledger_entries": 2}
-            first = store.counts()
-            ingest_ledger(store, tmp_path)
+            assert cells == {
+                ("ppopt", "demo", "gvn", "opt.visits", "@main"): 1200,
+                ("loader", "sum", "triage", "triage.bytes", ""): 100}
+            # re-ingesting the file finds the same run, cells intact
+            assert ingest_bench(store, path) == newest.id
             assert store.counts() == first
-            commands = sorted(e["command"]
-                              for e in store.ledger_entries())
-            assert commands == ["bench", "translate"]
+
+    def test_profile_ingest(self):
+        report = _profile_report(100, {"main;gvn": 10, "main;dce": 5})
+        with Warehouse() as store:
+            run_id = record_profile(store, report)
+            run, = store.runs("profile")
+            assert run.id == run_id and run.source == "demo.c"
+            assert store.stacks(run.id) == {"main;gvn": 10, "main;dce": 5}
+            assert store.digests(run.id) == {
+                "ppopt": report.counters.digest()}
+            assert store.work_cells(run.id) == {
+                ("ppopt", "demo.c", "gvn", "opt.visits", "@main"): 100}
+            summary = store.summary(run.id)["ppopt"]
+            assert summary["work.opt.visits"] == 100.0
+            assert summary["builds"] == 2.0
+            assert summary["profile.total"] == 15.0
+
+    def test_ledger_ingest_is_idempotent(self):
+        entries = [{"command": "translate", "rc": 0, "timestamp": "t1"},
+                   {"command": "bench", "rc": 3, "timestamp": "t2"}]
+        with Warehouse() as store:
+            for entry in entries:
+                store.put_ledger_entry(entry)
+            first = store.counts()
+            assert first["ledger_entries"] == 2
+            for entry in entries:
+                store.put_ledger_entry(entry)
+            assert store.counts() == first
+            assert store.ledger_entries() == entries
+            assert store.ledger_summary() == (
+                2, 1, {"bench": 1, "translate": 1})
 
 
 # ---- diff -------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import repro.cli as cli
+from repro.warehouse import DEFAULT_DB, Warehouse
 
 
 def _summary(scale=1.0, digest="d0"):
@@ -30,7 +31,8 @@ def _summary(scale=1.0, digest="d0"):
 
 @pytest.fixture
 def artifact_root(tmp_path):
-    """A directory with a two-run bench trajectory and a small ledger."""
+    """A directory with a two-run bench trajectory and a run store
+    holding a small ledger."""
     data = {
         "version": 8,
         "size": "tiny",
@@ -52,9 +54,7 @@ def artifact_root(tmp_path):
         "loader": {},
     }
     (tmp_path / "BENCH_translate.json").write_text(json.dumps(data))
-    ledger_dir = tmp_path / ".repro"
-    ledger_dir.mkdir()
-    lines = [
+    entries = [
         {"timestamp": "2026-08-01T00:00:00+00:00", "sha": "aaa1111",
          "dirty": False, "command": "translate", "schema": 2,
          "config_digest": "c1", "rc": 0},
@@ -62,22 +62,30 @@ def artifact_root(tmp_path):
          "dirty": False, "command": "bench", "schema": 2,
          "config_digest": "c2", "rc": 3},
     ]
-    (ledger_dir / "ledger.jsonl").write_text(
-        "".join(json.dumps(e, sort_keys=True) + "\n" for e in lines))
+    with Warehouse(tmp_path / DEFAULT_DB) as store:
+        for entry in entries:
+            store.put_ledger_entry(entry)
+        store.commit()
     return tmp_path
 
 
 def _base_args(root, db=":memory:"):
-    return ["--db", db, "--root", str(root)]
+    return ["--db", db, "--bench", str(root / "BENCH_translate.json")]
+
+
+def _ledger_args(root):
+    return ["ledger", "--db", str(root / DEFAULT_DB)]
 
 
 class TestWarehouseCommand:
     def test_ingest_reports_row_counts(self, artifact_root, capsys):
         rc = cli.main(["warehouse", "ingest"]
-                      + _base_args(artifact_root))
+                      + _base_args(artifact_root,
+                                   str(artifact_root / DEFAULT_DB)))
         assert rc == 0
         out = capsys.readouterr().out
         assert "2 runs" in out and "2 ledger_entries" in out
+        assert "0 work_cells" in out
         assert "schema v" in out
 
     def test_runs_lists_newest_first_with_selectors(self, artifact_root,
@@ -94,8 +102,9 @@ class TestWarehouseCommand:
         assert cli.main(["warehouse", "ingest"]
                         + _base_args(artifact_root, db)) == 0
         capsys.readouterr()
-        # query without re-ingesting: the rows are already there
-        assert cli.main(["warehouse", "runs", "--no-ingest"]
+        # the rows persist: a query without the trajectory still has them
+        (artifact_root / "BENCH_translate.json").unlink()
+        assert cli.main(["warehouse", "runs"]
                         + _base_args(artifact_root, db)) == 0
         assert "bbb2222" in capsys.readouterr().out
 
@@ -176,30 +185,28 @@ class TestDashCommand:
 class TestLedgerCommand:
     def test_summary_counts_commands_and_failures(self, artifact_root,
                                                   capsys):
-        rc = cli.main(["ledger", "--root", str(artifact_root)])
+        rc = cli.main(_ledger_args(artifact_root))
         assert rc == 0
         out = capsys.readouterr().out
         assert "2 entries" in out and "1 non-zero exit(s)" in out
         assert "translate" in out and "bench" in out
 
     def test_tail_prints_json_lines(self, artifact_root, capsys):
-        rc = cli.main(["ledger", "--root", str(artifact_root),
-                       "--tail", "1"])
+        rc = cli.main(_ledger_args(artifact_root) + ["--tail", "1"])
         assert rc == 0
         last = capsys.readouterr().out.splitlines()[-1]
         assert json.loads(last)["command"] == "bench"
 
     def test_gc_truncates(self, artifact_root, capsys):
-        rc = cli.main(["ledger", "--root", str(artifact_root),
-                       "--gc", "--keep", "1"])
+        rc = cli.main(_ledger_args(artifact_root) + ["--gc", "--keep", "1"])
         assert rc == 0
         assert "2 -> 1 entries" in capsys.readouterr().out
-        from repro.profiler.ledger import read_ledger
-
-        entries = read_ledger(artifact_root)
+        with Warehouse(artifact_root / DEFAULT_DB) as store:
+            entries = store.ledger_entries()
         assert len(entries) == 1 and entries[0]["command"] == "bench"
 
     def test_empty_ledger(self, tmp_path, capsys):
-        rc = cli.main(["ledger", "--root", str(tmp_path)])
+        rc = cli.main(_ledger_args(tmp_path))
         assert rc == 0
         assert "no entries" in capsys.readouterr().out
+        assert not (tmp_path / ".repro").exists()
